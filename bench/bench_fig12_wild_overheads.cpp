@@ -69,14 +69,14 @@ int main(int argc, char** argv) {
   mc.workers = 1;
   mc.engine = config;
   runtime::MultiCoreEngine mc_engine{mc};
-  trace::Trace slice;
-  slice.name = trace.name + "-paced-slice";
-  slice.packets.assign(
-      trace.packets.begin(),
-      trace.packets.begin() +
-          std::min<std::size_t>(300'000, trace.packets.size()));
   const double peak_pps = 150'000;
-  const auto stats = mc_engine.run(slice, peak_pps);
+  netio::ReplaySource::Config paced;
+  paced.pace_pps = peak_pps;
+  netio::ReplaySource slice{
+      std::span<const netio::PacketRecord>{trace.packets}.first(
+          std::min<std::size_t>(300'000, trace.packets.size())),
+      paced};
+  const auto stats = mc_engine.run_source(slice);
   std::printf("paced replay at %s: queue high-water mark %s of %s slots, "
               "%s producer stalls\n",
               util::format_rate(peak_pps).c_str(),

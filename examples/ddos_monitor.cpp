@@ -39,6 +39,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <memory>
@@ -82,6 +83,13 @@ int run_live_dashboard(const trace::Trace& trace, const util::CliArgs& args,
   // refreshes many times per polling interval even at modest pace.
   mc.query_plane.publish_every_packets = 1 << 14;
   const double pace_mpps = args.get_double("pace-mpps", 2.0);
+  if (!std::isfinite(pace_mpps) || pace_mpps < 0) {
+    std::fprintf(stderr,
+                 "ddos_monitor: --pace-mpps must be a finite number >= 0 "
+                 "(got %g)\n",
+                 pace_mpps);
+    return 1;
+  }
 
   runtime::MultiCoreEngine engine{mc};
   const auto* queries = engine.queries();
@@ -90,10 +98,15 @@ int run_live_dashboard(const trace::Trace& trace, const util::CliArgs& args,
               "every %.0f ms\n\n",
               mc.workers, pace_mpps, query_interval_ms);
 
+  netio::ReplaySource::Config paced;
+  paced.pace_pps = pace_mpps * 1e6;
+  netio::ReplaySource source{
+      std::span<const netio::PacketRecord>{trace.packets}, paced};
+
   std::atomic<bool> done{false};
   runtime::RunStats stats;
   std::thread runner([&] {
-    stats = engine.run(trace, pace_mpps * 1e6);
+    stats = engine.run_source(source);
     done.store(true, std::memory_order_release);
   });
 

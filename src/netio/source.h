@@ -6,7 +6,8 @@
 // from any of:
 //
 //   * ReplaySource    — the existing in-memory trace replayer, optionally
-//                       paced by the records' own timestamps;
+//                       paced at a fixed rate or by the records' own
+//                       timestamps;
 //   * PcapFileSource  — streaming decode of a pcap savefile (no full
 //                       PacketVector materialized first);
 //   * AfPacketSource  — a live AF_PACKET/TPACKET_V3 mmap ring
@@ -71,8 +72,10 @@ class PacketSource {
 
 /// In-memory trace replayer. Zero-copy of the records themselves (they are
 /// copied into the caller's burst span — never into an intermediate
-/// PacketVector) with optional pacing: with `pace_by_timestamps` the source
-/// releases each record no earlier than
+/// PacketVector) with optional pacing. With `pace_pps` > 0 record i is
+/// released no earlier than wall_start + i / pace_pps (fixed-rate arrival,
+/// the Fig 12 deployment emulation). Otherwise, with `pace_by_timestamps`,
+/// each record is released no earlier than
 ///   wall_start + (rec.timestamp_ns - first.timestamp_ns) / speed,
 /// so a 60 s trace replays in 60 s of wall time at speed 1.0 (10x faster
 /// at speed 10). Unpaced (the default) it streams at consumer speed.
@@ -80,12 +83,17 @@ class ReplaySource final : public PacketSource {
  public:
   struct Config {
     bool pace_by_timestamps = false;
-    double speed = 1.0;  ///< pacing time-compression factor, must be > 0
+    double speed = 1.0;  ///< timestamp-pacing time compression, finite > 0
+    /// Fixed arrival rate in records per wall second, finite >= 0; 0 (the
+    /// default) leaves pacing to pace_by_timestamps. Takes precedence.
+    double pace_pps = 0;
   };
 
   /// The records must outlive the source; they are not copied up front.
   explicit ReplaySource(std::span<const PacketRecord> records)
       : ReplaySource(records, Config{}) {}
+  /// Throws std::invalid_argument (message names the value) when `speed`
+  /// is not finite and > 0, or `pace_pps` is not finite and >= 0.
   ReplaySource(std::span<const PacketRecord> records, Config config);
 
   [[nodiscard]] std::size_t next_burst(std::span<PacketRecord> out) override;

@@ -27,6 +27,15 @@ void spin_for_ns(double ns) {
   }
 }
 
+/// One worker's counters for one run, on a cache line of their own. The
+/// worker writes them; the watchdog reads `packets` (its heartbeat) and
+/// `pressure` live; RunStats reads them after the join.
+struct alignas(kCacheLine) WorkerTally {
+  std::atomic<std::uint64_t> packets{0};  ///< processed so far
+  std::atomic<int> pressure{0};           ///< shard's WsafPressureLevel
+  std::uint64_t idle_polls = 0;           ///< polls that found the queue empty
+};
+
 }  // namespace
 
 MultiCoreEngine::MultiCoreEngine(const MultiCoreConfig& config)
@@ -148,7 +157,7 @@ MultiCoreEngine::MultiCoreEngine(const MultiCoreConfig& config)
       "im_runtime_producer_stalls_total",
       "Dispatch retries because a worker queue was full");
   tel_runs_ = registry_->counter("im_runtime_runs_total",
-                                 "Completed run() invocations");
+                                 "Completed run()/run_source() calls");
   tel_mpps_ = registry_->gauge("im_runtime_mpps",
                                "Throughput of the last run (Mpackets/s)");
   tel_wall_seconds_ = registry_->gauge("im_runtime_wall_seconds",
@@ -158,8 +167,7 @@ MultiCoreEngine::MultiCoreEngine(const MultiCoreConfig& config)
       "Worst per-worker WSAF pressure level (0 nominal, 1 elevated, "
       "2 saturated)");
   tel_io_received_ = registry_->counter(
-      "im_io_received_total",
-      "Records delivered by the packet source (run_source mode)");
+      "im_io_received_total", "Records delivered by the packet source");
   tel_io_kernel_dropped_ = registry_->counter(
       "im_io_kernel_dropped_total",
       "Frames the kernel dropped before delivery (AF_PACKET ring overruns)");
@@ -177,8 +185,6 @@ MultiCoreEngine::MultiCoreEngine(const MultiCoreConfig& config)
   tel_io_wait_cycles_ = registry_->counter(
       "im_io_wait_cycles_total",
       "Empty polls / pacing waits while pulling from the packet source");
-  tel_io_mpps_ = registry_->gauge(
-      "im_io_mpps", "Delivered throughput of the last run_source call");
 
   if (config.enable_query_plane) {
     std::vector<const core::SnapshotChannel*> channels;
@@ -227,9 +233,13 @@ MultiCoreEngine::MultiCoreEngine(const MultiCoreConfig& config)
 
 MultiCoreEngine::~MultiCoreEngine() = default;
 
-RunStats MultiCoreEngine::run(const trace::Trace& trace, double pace_pps) {
+RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
+                                     const SourceRunConfig& config) {
   const unsigned n = workers();
   const OverloadConfig& ov = config_.overload;
+  // Items carry records BY VALUE: a source's burst buffer is reused on the
+  // very next pull, so the one copy happens here, into the worker ring —
+  // never into an intermediate PacketVector.
   std::vector<std::unique_ptr<SpscQueue<QueueItem>>> queues;
   queues.reserve(n);
   for (unsigned w = 0; w < n; ++w) {
@@ -239,28 +249,15 @@ RunStats MultiCoreEngine::run(const trace::Trace& trace, double pace_pps) {
 
   std::atomic<bool> done{false};
   RunStats stats;
-  stats.packets = trace.packets.size();
+  stats.source = source.kind();
   stats.per_worker_packets.assign(n, 0);
   stats.per_worker_dropped.assign(n, 0);
   stats.per_worker_steals.assign(n, 0);
   stats.max_queue_depth.assign(n, 0);
   stats.worker_busy_fraction.assign(n, 0);
 
-  // Counter baselines: run() may be called repeatedly while the registry
-  // counters stay cumulative, so per-run stats are deltas from here.
-  std::vector<std::uint64_t> packets0(n, 0), busy0(n, 0), idle0(n, 0),
-      dropped0(n, 0), shed0(n, 0), steals0(n, 0);
-  for (unsigned w = 0; w < n; ++w) {
-    packets0[w] = tel_worker_packets_[w].value();
-    busy0[w] = tel_busy_polls_[w].value();
-    idle0[w] = tel_idle_polls_[w].value();
-    dropped0[w] = tel_dropped_[w].value();
-    shed0[w] = tel_shed_[w].value();
-    steals0[w] = tel_steals_[w].value();
-  }
-  const std::uint64_t stalls0 = tel_producer_stalls_.value();
-  // Query-plane baselines come from the channels (publish versions), not
-  // telemetry, so the deltas survive the compiled-out flavor too.
+  // The publishers' counts are cumulative across runs: baseline them so
+  // this run reports its own views only.
   std::vector<std::uint64_t> pub0(n, 0), pub_skip0(n, 0);
   for (unsigned w = 0; w < n; ++w) {
     if (const auto* p = engines_[w]->view_publisher()) {
@@ -273,19 +270,11 @@ RunStats MultiCoreEngine::run(const trace::Trace& trace, double pace_pps) {
     shared_pub0 = shared_publisher_->publishes();
     shared_pub_skip0 = shared_publisher_->skipped_publishes();
   }
-  // Compiled-out fallback tallies (telemetry::kEnabled == false reads every
-  // counter as 0, so the deltas above would vanish).
-  std::vector<std::uint64_t> local_packets(n, 0), local_busy(n, 0),
-      local_idle(n, 0), local_dropped(n, 0), local_shed(n, 0),
-      local_steals(n, 0);
-  std::uint64_t local_stalls = 0;
 
-  // Watchdog plumbing: workers publish a progress heartbeat and their
-  // shard's WSAF pressure level through these atomics; the watchdog (and
-  // nothing else) may read them — it must never touch the engines directly
-  // while workers run.
-  std::vector<std::atomic<std::uint64_t>> progress(n);
-  std::vector<std::atomic<int>> pressure(n);
+  // Watchdog plumbing: workers publish their progress and their shard's
+  // WSAF pressure level through `tally`; the watchdog (and nothing else)
+  // may read them live — it must never touch the engines while workers run.
+  std::vector<WorkerTally> tally(n);
   std::atomic<unsigned> shed_floor{0};
   std::atomic<std::uint64_t> watchdog_reports{0};
   std::atomic<int> pressure_peak{0};
@@ -293,15 +282,12 @@ RunStats MultiCoreEngine::run(const trace::Trace& trace, double pace_pps) {
 
   std::vector<std::thread> workers;
   workers.reserve(n);
-
   const auto start = std::chrono::steady_clock::now();
   for (unsigned w = 0; w < n; ++w) {
     workers.emplace_back([&, w] {
       auto& queue = *queues[w];
       auto& engine = *engines_[w];
-      auto& tel_packets = tel_worker_packets_[w];
-      auto& tel_busy = tel_busy_polls_[w];
-      auto& tel_idle = tel_idle_polls_[w];
+      auto& mine = tally[w];
       auto& fault_stall = resilience::faultpoint("runtime.worker_stall");
       std::array<QueueItem, 64> burst;
       std::array<const netio::PacketRecord*, 64> ptrs;
@@ -313,22 +299,20 @@ RunStats MultiCoreEngine::run(const trace::Trace& trace, double pace_pps) {
         if (fault_stall.fire()) spin_for_ns(fault_stall.param());
         // Batch begin/end give Perfetto a duration slice per burst; the
         // per-packet events the engine emits nest inside it.
-        if constexpr (telemetry::kEnabled) {
-          if (trace) {
-            trace->emit(w, telemetry::TraceEventKind::kBatchBegin, 0,
-                        static_cast<double>(count));
-          }
+        if (trace) {
+          trace->emit(w, telemetry::TraceEventKind::kBatchBegin, 0,
+                      static_cast<double>(count));
         }
-        // Weight-1 runs take the batched prefetch pipeline exactly as the
-        // block policy always has (bit-identical shard state); a weighted
-        // item — shed-ladder compensation — is replayed weight times through
-        // the scalar path so both packet and byte estimates scale back up.
+        // Weight-1 runs take the batched prefetch pipeline through a pointer
+        // gather (bit-identical to batching the records); a weighted item —
+        // shed-ladder compensation — is replayed weight times through the
+        // scalar path so both packet and byte estimates scale back up.
         std::size_t i = 0;
         while (i < count) {
           if (burst[i].weight == 1) {
             std::size_t run_len = 0;
             while (i + run_len < count && burst[i + run_len].weight == 1) {
-              ptrs[run_len] = burst[i + run_len].rec;
+              ptrs[run_len] = &burst[i + run_len].rec;
               ++run_len;
             }
             if (config_.batched) {
@@ -342,69 +326,59 @@ RunStats MultiCoreEngine::run(const trace::Trace& trace, double pace_pps) {
             // Tell the auditor this flow's exact account is about to absorb
             // compensation replay, so audited error on it attributes to the
             // shed ladder rather than the sketch.
-            engine.audit_note_shed(*burst[i].rec, burst[i].weight);
+            engine.audit_note_shed(burst[i].rec, burst[i].weight);
             for (std::uint32_t j = 0; j < burst[i].weight; ++j) {
-              engine.process(*burst[i].rec);
+              engine.process(burst[i].rec);
             }
             ++i;
           }
         }
-        if constexpr (telemetry::kEnabled) {
-          if (trace) {
-            trace->emit(w, telemetry::TraceEventKind::kBatchEnd, 0,
-                        static_cast<double>(count));
-          }
+        if (trace) {
+          trace->emit(w, telemetry::TraceEventKind::kBatchEnd, 0,
+                      static_cast<double>(count));
         }
-        progress[w].fetch_add(count, std::memory_order_relaxed);
+        // Single writer: a plain load/store keeps the heartbeat lock-free.
+        mine.packets.store(mine.packets.load(std::memory_order_relaxed) + count,
+                           std::memory_order_relaxed);
+        tel_worker_packets_[w].inc(count);
+        tel_busy_polls_[w].inc(count);
         if ((++bursts_seen & 63) == 0) {
-          pressure[w].store(static_cast<int>(engine.pressure().level),
-                            std::memory_order_relaxed);
+          mine.pressure.store(static_cast<int>(engine.pressure().level),
+                              std::memory_order_relaxed);
         }
       };
       for (;;) {
         if (const auto got = queue.try_pop_burst(std::span{burst});
             got != 0) {
           process_burst(got);
-          tel_packets.inc(got);
-          tel_busy.inc(got);
-          if constexpr (!telemetry::kEnabled) {
-            local_packets[w] += got;
-            local_busy[w] += got;
-          }
         } else if (done.load(std::memory_order_acquire)) {
           // done was stored (release) after the producer's last push, so
           // popping after observing it sees every remaining item: one final
           // drain pass is race-free.
           while (const auto tail = queue.try_pop_burst(std::span{burst})) {
             process_burst(tail);
-            tel_packets.inc(tail);
-            tel_busy.inc(tail);
-            if constexpr (!telemetry::kEnabled) {
-              local_packets[w] += tail;
-              local_busy[w] += tail;
-            }
           }
           // Final publish from the worker (writer) thread, after the last
-          // packet: queries issued after run() returns see the complete
+          // packet: queries issued after the run returns see the complete
           // shard without touching the table. The audit sweep runs on the
           // same (writer) thread for the same reason — it reads the WSAF —
           // and makes the im_audit_are/recall gauges end-of-run exact.
           engine.publish_view_now();
           engine.audit_final_sweep();
-          pressure[w].store(static_cast<int>(engine.pressure().level),
-                            std::memory_order_relaxed);
+          mine.pressure.store(static_cast<int>(engine.pressure().level),
+                              std::memory_order_relaxed);
           break;
         } else {
-          tel_idle.inc();
-          if constexpr (!telemetry::kEnabled) ++local_idle[w];
+          ++mine.idle_polls;
+          tel_idle_polls_[w].inc();
           std::this_thread::yield();
         }
       }
     });
   }
 
-  // Watchdog: heartbeat the workers' progress atomics. A worker that made
-  // zero progress across `watchdog_stall_intervals` periods while its queue
+  // Watchdog: heartbeat the workers' progress. A worker that made zero
+  // progress across `watchdog_stall_intervals` periods while its queue
   // holds work is reported stalled (once per episode). It also aggregates
   // the published WSAF pressure levels and, when shed_on_wsaf_pressure is
   // set, holds the shed ladder's floor at 1 while any shard is saturated.
@@ -420,7 +394,7 @@ RunStats MultiCoreEngine::run(const trace::Trace& trace, double pace_pps) {
         std::this_thread::sleep_for(period);
         int worst = 0;
         for (unsigned w = 0; w < n; ++w) {
-          const auto now = progress[w].load(std::memory_order_relaxed);
+          const auto now = tally[w].packets.load(std::memory_order_relaxed);
           if (now == last[w] && queues[w]->size_approx() > 0) {
             if (++still[w] >= ov.watchdog_stall_intervals && !reported[w]) {
               reported[w] = true;
@@ -432,7 +406,8 @@ RunStats MultiCoreEngine::run(const trace::Trace& trace, double pace_pps) {
             reported[w] = false;
           }
           last[w] = now;
-          worst = std::max(worst, pressure[w].load(std::memory_order_relaxed));
+          worst = std::max(
+              worst, tally[w].pressure.load(std::memory_order_relaxed));
         }
         tel_wsaf_pressure_.set(static_cast<double>(worst));
         int peak = pressure_peak.load(std::memory_order_relaxed);
@@ -451,9 +426,9 @@ RunStats MultiCoreEngine::run(const trace::Trace& trace, double pace_pps) {
     });
   }
 
-  // Manager: dispatch by popcount(src IP) — the paper's queue selector.
-  // Paced mode spins until each packet's wall-clock slot arrives, emulating
-  // line-rate arrival instead of preloaded replay.
+  // Manager: pull bursts from the source and dispatch each record by the
+  // configured selector (popcount(src IP) is the paper's), applying the
+  // overload policy when a worker queue is full.
   auto& fault_queue_full = resilience::faultpoint("runtime.queue_full");
   const auto try_push = [&](SpscQueue<QueueItem>& queue,
                             const QueueItem& item) {
@@ -463,15 +438,23 @@ RunStats MultiCoreEngine::run(const trace::Trace& trace, double pace_pps) {
     return queue.try_push(item);
   };
   const auto note_stall = [&](unsigned w, std::size_t depth) {
+    ++stats.producer_stalls;
     tel_producer_stalls_.inc();
-    if constexpr (telemetry::kEnabled) {
-      // Manager's own track (index = workers); aux says which queue.
-      if (config_.trace) {
-        config_.trace->emit(n, telemetry::TraceEventKind::kQueueStall, 0,
-                            static_cast<double>(depth), w);
-      }
+    // Manager's own track (index = workers); aux says which queue.
+    if (config_.trace) {
+      config_.trace->emit(n, telemetry::TraceEventKind::kQueueStall, 0,
+                          static_cast<double>(depth), w);
+    }
+  };
+  // A packet the policy gave up on: dropped (kDropTail) or shed (kShed).
+  const auto note_loss = [&](unsigned w, bool shed) {
+    ++stats.per_worker_dropped[w];
+    if (shed) {
+      ++stats.shed;
+      tel_shed_[w].inc();
     } else {
-      ++local_stalls;
+      ++stats.dropped;
+      tel_dropped_[w].inc();
     }
   };
 
@@ -494,16 +477,12 @@ RunStats MultiCoreEngine::run(const trace::Trace& trace, double pace_pps) {
       }
     }
     if (victim == home || !try_push(*queues[victim], item)) return false;
+    ++stats.per_worker_steals[home];
     tel_steals_[home].inc();
-    if constexpr (telemetry::kEnabled) {
-      if (config_.trace) {
-        config_.trace->emit(
-            n, telemetry::TraceEventKind::kWorkSteal, 0,
-            static_cast<double>(queues[home]->size_approx()),
-            home | (victim << 8));
-      }
-    } else {
-      ++local_steals[home];
+    if (config_.trace) {
+      config_.trace->emit(n, telemetry::TraceEventKind::kWorkSteal, 0,
+                          static_cast<double>(queues[home]->size_approx()),
+                          home | (victim << 8));
     }
     return true;
   };
@@ -515,21 +494,8 @@ RunStats MultiCoreEngine::run(const trace::Trace& trace, double pace_pps) {
   std::vector<std::uint64_t> shed_seq(n, 0);
   const auto clean_depth = static_cast<std::size_t>(
       static_cast<double>(config_.queue_capacity) * ov.clean_depth_fraction);
-  unsigned shed_level_peak = 0;
 
-  const bool paced = pace_pps > 0;
-  std::uint64_t dispatched = 0;
-  for (const auto& rec : trace.packets) {
-    if (paced) {
-      const auto due =
-          start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(
-                          static_cast<double>(dispatched) / pace_pps));
-      while (std::chrono::steady_clock::now() < due) {
-        // busy-wait: sleep granularity is far coarser than packet gaps
-      }
-      ++dispatched;
-    }
+  const auto dispatch = [&](const netio::PacketRecord& rec) {
     const unsigned w = worker_of(rec.key);
     auto& queue = *queues[w];
     const auto depth = queue.size_approx();
@@ -538,7 +504,7 @@ RunStats MultiCoreEngine::run(const trace::Trace& trace, double pace_pps) {
       tel_queue_depth_max_[w].set(static_cast<double>(depth));
     }
 
-    QueueItem item{&rec, 1};
+    QueueItem item{rec, 1};
     switch (ov.policy) {
       case OverloadPolicy::kBlock: {
         while (!try_push(queue, item)) {
@@ -546,27 +512,16 @@ RunStats MultiCoreEngine::run(const trace::Trace& trace, double pace_pps) {
           note_stall(w, queue.size_approx());
           std::this_thread::yield();
         }
-        break;
+        return;
       }
       case OverloadPolicy::kDropTail: {
-        bool pushed = false;
         for (unsigned r = 0; r <= ov.full_queue_retries; ++r) {
-          if (try_push(queue, item)) {
-            pushed = true;
-            break;
-          }
-          if (try_steal(w, item)) {
-            pushed = true;
-            break;
-          }
+          if (try_push(queue, item) || try_steal(w, item)) return;
           note_stall(w, queue.size_approx());
           std::this_thread::yield();
         }
-        if (!pushed) {
-          tel_dropped_[w].inc();
-          if constexpr (!telemetry::kEnabled) ++local_dropped[w];
-        }
-        break;
+        note_loss(w, /*shed=*/false);
+        return;
       }
       case OverloadPolicy::kShed: {
         // Effective rung: the ladder's own level, lifted to the watchdog's
@@ -576,13 +531,12 @@ RunStats MultiCoreEngine::run(const trace::Trace& trace, double pace_pps) {
         const unsigned lvl = std::min(
             {std::max(level[w], shed_floor.load(std::memory_order_relaxed)),
              ov.max_shed_level, 31u});
-        shed_level_peak = std::max(shed_level_peak, lvl);
+        stats.shed_level_peak = std::max(stats.shed_level_peak, lvl);
         if (lvl > 0) {
           const std::uint64_t seq = shed_seq[w]++;
           if ((seq & ((std::uint64_t{1} << lvl) - 1)) != 0) {
-            tel_shed_[w].inc();
-            if constexpr (!telemetry::kEnabled) ++local_shed[w];
-            break;
+            note_loss(w, /*shed=*/true);
+            return;
           }
           item.weight = std::uint32_t{1} << lvl;
         }
@@ -603,13 +557,10 @@ RunStats MultiCoreEngine::run(const trace::Trace& trace, double pace_pps) {
           note_stall(w, queue.size_approx());
           std::this_thread::yield();
         }
-        if (!pushed) {
-          // The admitted packet could not be delivered either: it is shed
-          // (its compensation weight is lost — that is the accuracy price
-          // of sustained overload, bounded by the ladder climbing below).
-          tel_shed_[w].inc();
-          if constexpr (!telemetry::kEnabled) ++local_shed[w];
-        }
+        // An admitted packet that could not be delivered either is shed
+        // (its compensation weight is lost — that is the accuracy price of
+        // sustained overload, bounded by the ladder climbing below).
+        if (!pushed) note_loss(w, /*shed=*/true);
         if (contended) {
           clean_streak[w] = 0;
           if (++stall_streak[w] >= ov.escalate_after_stalls) {
@@ -630,236 +581,14 @@ RunStats MultiCoreEngine::run(const trace::Trace& trace, double pace_pps) {
         } else {
           clean_streak[w] = 0;
         }
-        break;
+        return;
       }
     }
-    // Shared mode: the manager (not the workers) ticks the one publisher.
-    // fill_view locks stripes one at a time, so it is safe against the
-    // workers' concurrent accumulates.
-    if (shared_publisher_) {
-      shared_publisher_->maybe_publish(*shared_, rec.timestamp_ns);
-    }
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& t : workers) t.join();
-  watchdog_stop.store(true, std::memory_order_release);
-  if (watchdog.joinable()) watchdog.join();
-  const auto end = std::chrono::steady_clock::now();
+  };
 
-  stats.wall_seconds = std::chrono::duration<double>(end - start).count();
-  stats.shed_level_peak = shed_level_peak;
-  stats.watchdog_stall_reports = watchdog_reports.load();
-  // Pressure peak: the watchdog's running maximum, refreshed with the final
-  // post-join levels so short runs (or watchdog-off runs) still report it.
-  int peak = pressure_peak.load();
-  for (unsigned w = 0; w < n; ++w) {
-    peak = std::max(peak, static_cast<int>(engines_[w]->pressure().level));
-  }
-  stats.wsaf_pressure_peak = peak;
-  tel_wsaf_pressure_.set(static_cast<double>(peak));
-  for (unsigned w = 0; w < n; ++w) {
-    if (const auto* p = engines_[w]->view_publisher()) {
-      stats.views_published += p->publishes() - pub0[w];
-      stats.view_publishes_skipped += p->skipped_publishes() - pub_skip0[w];
-    }
-  }
-  if (shared_publisher_) {
-    // Final publish after the joins (quiescent): queries issued after
-    // run() returns see the complete shared working set.
-    shared_publisher_->publish_now(*shared_, shared_->latest_ns());
-    stats.views_published += shared_publisher_->publishes() - shared_pub0;
-    stats.view_publishes_skipped +=
-        shared_publisher_->skipped_publishes() - shared_pub_skip0;
-  }
-
-  // Derive the per-run stats from the registry (counter deltas over the
-  // run); the compiled-out build substitutes the local tallies.
-  if constexpr (telemetry::kEnabled) {
-    stats.producer_stalls = tel_producer_stalls_.value() - stalls0;
-    for (unsigned w = 0; w < n; ++w) {
-      stats.per_worker_packets[w] = tel_worker_packets_[w].value() - packets0[w];
-      const auto dropped = tel_dropped_[w].value() - dropped0[w];
-      const auto shed = tel_shed_[w].value() - shed0[w];
-      stats.per_worker_dropped[w] = dropped + shed;
-      stats.dropped += dropped;
-      stats.shed += shed;
-      stats.per_worker_steals[w] = tel_steals_[w].value() - steals0[w];
-      stats.steals += stats.per_worker_steals[w];
-      const auto busy = tel_busy_polls_[w].value() - busy0[w];
-      const auto idle = tel_idle_polls_[w].value() - idle0[w];
-      const auto total = busy + idle;
-      stats.worker_busy_fraction[w] =
-          total ? static_cast<double>(busy) / static_cast<double>(total) : 0.0;
-    }
-  } else {
-    stats.producer_stalls = local_stalls;
-    for (unsigned w = 0; w < n; ++w) {
-      stats.per_worker_packets[w] = local_packets[w];
-      stats.per_worker_dropped[w] = local_dropped[w] + local_shed[w];
-      stats.dropped += local_dropped[w];
-      stats.shed += local_shed[w];
-      stats.per_worker_steals[w] = local_steals[w];
-      stats.steals += local_steals[w];
-      const auto total = local_busy[w] + local_idle[w];
-      stats.worker_busy_fraction[w] =
-          total ? static_cast<double>(local_busy[w]) /
-                      static_cast<double>(total)
-                : 0.0;
-    }
-  }
-  for (unsigned w = 0; w < n; ++w) {
-    stats.processed += stats.per_worker_packets[w];
-  }
-  stats.mpps = stats.wall_seconds > 0
-                   ? static_cast<double>(stats.processed) /
-                         stats.wall_seconds / 1e6
-                   : 0.0;
-  tel_runs_.inc();
-  tel_mpps_.set(stats.mpps);
-  tel_wall_seconds_.add(stats.wall_seconds);
-  return stats;
-}
-
-RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
-                                     const SourceRunConfig& config) {
-  const unsigned n = workers();
-  const OverloadConfig& ov = config_.overload;
-  if (ov.policy == OverloadPolicy::kShed) {
-    throw std::invalid_argument(
-        "MultiCoreEngine::run_source: kShed is not supported in "
-        "source-driven mode (the ladder's weight compensation assumes "
-        "replayable packets); use kBlock or kDropTail");
-  }
-  // Source mode queues carry records BY VALUE: unlike run(), whose items
-  // point into a caller-owned trace, a live burst buffer is reused on the
-  // very next pull, so the one copy happens here, into the worker ring —
-  // never into an intermediate PacketVector.
-  std::vector<std::unique_ptr<SpscQueue<netio::PacketRecord>>> queues;
-  queues.reserve(n);
-  for (unsigned w = 0; w < n; ++w) {
-    queues.push_back(std::make_unique<SpscQueue<netio::PacketRecord>>(
-        config_.queue_capacity));
-  }
-
-  std::atomic<bool> done{false};
-  RunStats stats;
-  stats.source = source.kind();
-  stats.per_worker_packets.assign(n, 0);
-  stats.per_worker_dropped.assign(n, 0);
-  stats.per_worker_steals.assign(n, 0);
-  stats.max_queue_depth.assign(n, 0);
-  stats.worker_busy_fraction.assign(n, 0);
-
-  std::vector<std::uint64_t> packets0(n, 0), busy0(n, 0), idle0(n, 0),
-      dropped0(n, 0);
-  for (unsigned w = 0; w < n; ++w) {
-    packets0[w] = tel_worker_packets_[w].value();
-    busy0[w] = tel_busy_polls_[w].value();
-    idle0[w] = tel_idle_polls_[w].value();
-    dropped0[w] = tel_dropped_[w].value();
-  }
-  const std::uint64_t stalls0 = tel_producer_stalls_.value();
-  std::vector<std::uint64_t> pub0(n, 0), pub_skip0(n, 0);
-  for (unsigned w = 0; w < n; ++w) {
-    if (const auto* p = engines_[w]->view_publisher()) {
-      pub0[w] = p->publishes();
-      pub_skip0[w] = p->skipped_publishes();
-    }
-  }
-  std::uint64_t shared_pub0 = 0, shared_pub_skip0 = 0;
-  if (shared_publisher_) {
-    shared_pub0 = shared_publisher_->publishes();
-    shared_pub_skip0 = shared_publisher_->skipped_publishes();
-  }
-  std::vector<std::uint64_t> local_packets(n, 0), local_busy(n, 0),
-      local_idle(n, 0), local_dropped(n, 0);
-  std::uint64_t local_stalls = 0;
-
-  std::vector<std::thread> workers;
-  workers.reserve(n);
-  const auto start = std::chrono::steady_clock::now();
-  for (unsigned w = 0; w < n; ++w) {
-    workers.emplace_back([&, w] {
-      auto& queue = *queues[w];
-      auto& engine = *engines_[w];
-      auto& tel_packets = tel_worker_packets_[w];
-      auto& tel_busy = tel_busy_polls_[w];
-      auto& tel_idle = tel_idle_polls_[w];
-      std::array<netio::PacketRecord, 64> burst;
-      telemetry::TraceRecorder* const trace = config_.trace;
-      const auto process_burst = [&](std::size_t count) {
-        if constexpr (telemetry::kEnabled) {
-          if (trace) {
-            trace->emit(w, telemetry::TraceEventKind::kBatchBegin, 0,
-                        static_cast<double>(count));
-          }
-        }
-        if (config_.batched) {
-          engine.process_batch(
-              std::span<const netio::PacketRecord>{burst.data(), count});
-        } else {
-          for (std::size_t i = 0; i < count; ++i) engine.process(burst[i]);
-        }
-        if constexpr (telemetry::kEnabled) {
-          if (trace) {
-            trace->emit(w, telemetry::TraceEventKind::kBatchEnd, 0,
-                        static_cast<double>(count));
-          }
-        }
-      };
-      for (;;) {
-        if (const auto got = queue.try_pop_burst(std::span{burst});
-            got != 0) {
-          process_burst(got);
-          tel_packets.inc(got);
-          tel_busy.inc(got);
-          if constexpr (!telemetry::kEnabled) {
-            local_packets[w] += got;
-            local_busy[w] += got;
-          }
-        } else if (done.load(std::memory_order_acquire)) {
-          while (const auto tail = queue.try_pop_burst(std::span{burst})) {
-            process_burst(tail);
-            tel_packets.inc(tail);
-            tel_busy.inc(tail);
-            if constexpr (!telemetry::kEnabled) {
-              local_packets[w] += tail;
-              local_busy[w] += tail;
-            }
-          }
-          engine.publish_view_now();
-          engine.audit_final_sweep();
-          break;
-        } else {
-          tel_idle.inc();
-          if constexpr (!telemetry::kEnabled) ++local_idle[w];
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-
-  // Manager: pull bursts, dispatch per record. Baseline the source's own
-  // accounting so a reused source reports this run's deltas only.
+  // Baseline the source's own accounting so a reused source reports this
+  // run's deltas only.
   const netio::SourceStats io0 = source.stats();
-  auto& fault_queue_full = resilience::faultpoint("runtime.queue_full");
-  const auto try_push = [&](SpscQueue<netio::PacketRecord>& queue,
-                            const netio::PacketRecord& rec) {
-    if (fault_queue_full.fire()) return false;
-    return queue.try_push(rec);
-  };
-  const auto note_stall = [&](unsigned w, std::size_t depth) {
-    tel_producer_stalls_.inc();
-    if constexpr (telemetry::kEnabled) {
-      if (config_.trace) {
-        config_.trace->emit(n, telemetry::TraceEventKind::kQueueStall, 0,
-                            static_cast<double>(depth), w);
-      }
-    } else {
-      ++local_stalls;
-    }
-  };
-
   std::array<netio::PacketRecord, 256> burst;
   std::uint64_t delivered = 0;
   const bool timed = config.max_seconds > 0;
@@ -867,75 +596,58 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
       start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                   std::chrono::duration<double>(
                       timed ? config.max_seconds : 0.0));
-  for (;;) {
-    if (config.max_packets != 0 && delivered >= config.max_packets) break;
-    if (timed && std::chrono::steady_clock::now() >= deadline) break;
-    std::size_t want = burst.size();
-    if (config.max_packets != 0) {
-      want = static_cast<std::size_t>(std::min<std::uint64_t>(
-          want, config.max_packets - delivered));
-    }
-    const auto got = source.next_burst(std::span{burst.data(), want});
-    if (got == 0) {
-      if (source.exhausted() &&
-          (config.stop_on_exhausted ||
-           (!timed && config.max_packets == 0))) {
-        break;
+  const auto stop_threads = [&] {
+    done.store(true, std::memory_order_release);
+    for (auto& t : workers) t.join();
+    watchdog_stop.store(true, std::memory_order_release);
+    if (watchdog.joinable()) watchdog.join();
+  };
+  try {
+    for (;;) {
+      if (config.max_packets != 0 && delivered >= config.max_packets) break;
+      if (timed && std::chrono::steady_clock::now() >= deadline) break;
+      std::size_t want = burst.size();
+      if (config.max_packets != 0) {
+        want = static_cast<std::size_t>(std::min<std::uint64_t>(
+            want, config.max_packets - delivered));
       }
-      // Live port between bursts (the source bounded its own wait), or a
-      // paced replay ahead of schedule: try again within our budget.
-      continue;
-    }
-    delivered += got;
-    tel_io_received_.inc(got);
-    tel_io_bursts_.inc();
-    if constexpr (telemetry::kEnabled) {
+      const auto got = source.next_burst(std::span{burst.data(), want});
+      if (got == 0) {
+        if (source.exhausted() &&
+            (config.stop_on_exhausted ||
+             (!timed && config.max_packets == 0))) {
+          break;
+        }
+        // Live port between bursts (the source bounded its own wait), or a
+        // paced replay ahead of schedule: try again within our budget.
+        continue;
+      }
+      delivered += got;
+      tel_io_received_.inc(got);
+      tel_io_bursts_.inc();
       if (config_.trace) {
         const auto drops = source.stats().dropped;
         config_.trace->emit(
-            n, telemetry::TraceEventKind::kIoBurst, 0,
-            static_cast<double>(got),
+            n, telemetry::TraceEventKind::kIoBurst, 0, static_cast<double>(got),
             static_cast<std::uint32_t>(std::min<std::uint64_t>(
                 drops, std::numeric_limits<std::uint32_t>::max())));
       }
-    }
-    for (std::size_t i = 0; i < got; ++i) {
-      const auto& rec = burst[i];
-      const unsigned w = worker_of(rec.key);
-      auto& queue = *queues[w];
-      const auto depth = queue.size_approx();
-      if (depth > stats.max_queue_depth[w]) {
-        stats.max_queue_depth[w] = depth;
-        tel_queue_depth_max_[w].set(static_cast<double>(depth));
-      }
-      if (ov.policy == OverloadPolicy::kBlock) {
-        while (!try_push(queue, rec)) {
-          note_stall(w, queue.size_approx());
-          std::this_thread::yield();
-        }
-      } else {  // kDropTail
-        bool pushed = false;
-        for (unsigned r = 0; r <= ov.full_queue_retries; ++r) {
-          if (try_push(queue, rec)) {
-            pushed = true;
-            break;
-          }
-          note_stall(w, queue.size_approx());
-          std::this_thread::yield();
-        }
-        if (!pushed) {
-          tel_dropped_[w].inc();
-          if constexpr (!telemetry::kEnabled) ++local_dropped[w];
-        }
+      for (std::size_t i = 0; i < got; ++i) dispatch(burst[i]);
+      // Shared mode: the manager (not the workers) ticks the one publisher.
+      // fill_view locks stripes one at a time, so it is safe against the
+      // workers' concurrent accumulates.
+      if (shared_publisher_) {
+        shared_publisher_->maybe_publish(*shared_, burst[got - 1].timestamp_ns,
+                                         got);
       }
     }
-    if (shared_publisher_) {
-      shared_publisher_->maybe_publish(*shared_,
-                                       burst[got - 1].timestamp_ns);
-    }
+  } catch (...) {
+    // A source that fails mid-run (a corrupt pcap record) must not leave
+    // joinable threads behind: stop them, then let the caller see the error.
+    stop_threads();
+    throw;
   }
-  done.store(true, std::memory_order_release);
-  for (auto& t : workers) t.join();
+  stop_threads();
   const auto end = std::chrono::steady_clock::now();
 
   // Capture-plane accounting: this run's source deltas.
@@ -953,7 +665,10 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
   tel_io_wait_cycles_.inc(stats.io_wait_cycles);
 
   stats.wall_seconds = std::chrono::duration<double>(end - start).count();
-  int peak = 0;
+  stats.watchdog_stall_reports = watchdog_reports.load();
+  // Pressure peak: the watchdog's running maximum, refreshed with the final
+  // post-join levels so short runs (or watchdog-off runs) still report it.
+  int peak = pressure_peak.load();
   for (unsigned w = 0; w < n; ++w) {
     peak = std::max(peak, static_cast<int>(engines_[w]->pressure().level));
   }
@@ -966,48 +681,30 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
     }
   }
   if (shared_publisher_) {
+    // Final publish after the joins (quiescent): queries issued after the
+    // run returns see the complete shared working set.
     shared_publisher_->publish_now(*shared_, shared_->latest_ns());
     stats.views_published += shared_publisher_->publishes() - shared_pub0;
     stats.view_publishes_skipped +=
         shared_publisher_->skipped_publishes() - shared_pub_skip0;
   }
 
-  if constexpr (telemetry::kEnabled) {
-    stats.producer_stalls = tel_producer_stalls_.value() - stalls0;
-    for (unsigned w = 0; w < n; ++w) {
-      stats.per_worker_packets[w] =
-          tel_worker_packets_[w].value() - packets0[w];
-      stats.per_worker_dropped[w] = tel_dropped_[w].value() - dropped0[w];
-      stats.dropped += stats.per_worker_dropped[w];
-      const auto busy = tel_busy_polls_[w].value() - busy0[w];
-      const auto idle = tel_idle_polls_[w].value() - idle0[w];
-      const auto total = busy + idle;
-      stats.worker_busy_fraction[w] =
-          total ? static_cast<double>(busy) / static_cast<double>(total)
-                : 0.0;
-    }
-  } else {
-    stats.producer_stalls = local_stalls;
-    for (unsigned w = 0; w < n; ++w) {
-      stats.per_worker_packets[w] = local_packets[w];
-      stats.per_worker_dropped[w] = local_dropped[w];
-      stats.dropped += local_dropped[w];
-      const auto total = local_busy[w] + local_idle[w];
-      stats.worker_busy_fraction[w] =
-          total ? static_cast<double>(local_busy[w]) /
-                      static_cast<double>(total)
-                : 0.0;
-    }
-  }
   for (unsigned w = 0; w < n; ++w) {
-    stats.processed += stats.per_worker_packets[w];
+    const auto packets = tally[w].packets.load(std::memory_order_relaxed);
+    const auto polls = packets + tally[w].idle_polls;
+    stats.per_worker_packets[w] = packets;
+    stats.processed += packets;
+    stats.steals += stats.per_worker_steals[w];
+    stats.worker_busy_fraction[w] =
+        polls ? static_cast<double>(packets) / static_cast<double>(polls)
+              : 0.0;
   }
   stats.mpps = stats.wall_seconds > 0
                    ? static_cast<double>(stats.processed) /
                          stats.wall_seconds / 1e6
                    : 0.0;
   tel_runs_.inc();
-  tel_io_mpps_.set(stats.mpps);
+  tel_mpps_.set(stats.mpps);
   tel_wall_seconds_.add(stats.wall_seconds);
   return stats;
 }

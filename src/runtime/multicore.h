@@ -135,16 +135,16 @@ struct MultiCoreConfig {
   telemetry::TraceRecorder* trace = nullptr;
 };
 
-/// Per-run statistics. With telemetry compiled in these are deltas of the
-/// engine's registry counters over the run (the registry is the source of
-/// truth, live-updated while the run progresses); the compiled-out build
-/// falls back to thread-local tallies so the numbers survive either way.
+/// Per-run statistics, counted by the run itself: the manager and each
+/// worker keep plain counters for this run only, and the registry's
+/// cumulative im_runtime_* / im_io_* series mirror them live, so the
+/// numbers are the same with telemetry compiled in or out.
 /// Accounting invariant (all policies, any fault schedule):
 ///   offered == processed + dropped + shed, exactly.
 struct RunStats {
   double wall_seconds = 0;
   double mpps = 0;                       ///< processed packets / wall time
-  std::uint64_t packets = 0;             ///< offered = trace size
+  std::uint64_t packets = 0;             ///< offered = records delivered
   std::uint64_t processed = 0;           ///< reached a worker engine
   std::uint64_t dropped = 0;             ///< kDropTail bounded-wait losses
   std::uint64_t shed = 0;                ///< kShed ladder losses (compensated)
@@ -160,10 +160,9 @@ struct RunStats {
   std::vector<std::uint64_t> per_worker_steals;    ///< steals FROM this home queue
   std::vector<std::size_t> max_queue_depth;
   std::vector<double> worker_busy_fraction;  ///< busy polls / total polls
-  // Source-driven mode only (run_source): the capture plane's accounting.
-  // `packets` above is then the records the source DELIVERED; the port may
-  // have seen more — io_kernel_dropped (ring overruns) and io_skipped
-  // (undecodable frames) make that explicit.
+  // The capture plane's accounting. `packets` above is the records the
+  // source DELIVERED; a port may have seen more — io_kernel_dropped (ring
+  // overruns) and io_skipped (undecodable frames) make that explicit.
   std::string source;                    ///< "replay" | "pcap" | "afpacket"
   std::uint64_t io_kernel_dropped = 0;   ///< lost before delivery (ring full)
   std::uint64_t io_skipped = 0;          ///< frames seen but not decodable
@@ -172,8 +171,8 @@ struct RunStats {
   std::uint64_t io_wait_cycles = 0;      ///< empty source polls
 };
 
-/// Bounds for a source-driven run (run_source). Zero means unlimited; a
-/// live capture needs at least one bound or an external stop.
+/// Bounds for a run_source call. Zero means unlimited; a live capture
+/// needs at least one bound or an external stop.
 struct SourceRunConfig {
   std::uint64_t max_packets = 0;  ///< stop after this many delivered records
   double max_seconds = 0;         ///< wall-clock budget for the whole run
@@ -195,23 +194,28 @@ class MultiCoreEngine {
   MultiCoreEngine(const MultiCoreEngine&) = delete;
   MultiCoreEngine& operator=(const MultiCoreEngine&) = delete;
 
-  /// Replay a preloaded trace at maximum speed (throughput mode, Fig 9a),
-  /// or paced at `pace_pps` packets/second of wall time when pace_pps > 0
-  /// (deployment mode, Fig 12: queue depth under real-time arrival).
-  /// Blocks until every admitted packet is processed; returns timing and
-  /// overload-accounting statistics.
-  RunStats run(const trace::Trace& trace, double pace_pps = 0);
+  /// Replay a preloaded trace at maximum speed (throughput mode, Fig 9a):
+  /// shorthand for run_source over an unpaced netio::ReplaySource. For
+  /// deployment mode (Fig 12: queue depth under real-time arrival) build a
+  /// ReplaySource with Config::pace_pps and call run_source.
+  RunStats run(const trace::Trace& trace) {
+    netio::ReplaySource source{
+        std::span<const netio::PacketRecord>{trace.packets}};
+    return run_source(source);
+  }
 
-  /// Source-driven ingest: pull bursts from any netio::PacketSource (live
-  /// AF_PACKET ring, streaming pcap, paced replay) and dispatch them to
-  /// the workers with NO intermediate PacketVector — records are copied
-  /// once, into the worker rings. Supports the kBlock and kDropTail
-  /// overload policies (kShed's ladder assumes an offered-count known up
-  /// front and throws std::invalid_argument here). Blocks until the
-  /// configured bound is hit or the source is exhausted; RunStats then
-  /// carries the io_* capture accounting beside the usual fields, with
-  ///   offered(delivered) == processed + dropped
-  /// exact, and kernel drops/skips reported separately.
+  /// The one ingest path: pull bursts from any netio::PacketSource (live
+  /// AF_PACKET ring, streaming pcap, replay) and dispatch them to the
+  /// workers with NO intermediate PacketVector — records are copied once,
+  /// into the worker rings. Every overload policy, work-stealing and the
+  /// watchdog apply to every source. Blocks until the configured bound is
+  /// hit or the source is exhausted and every admitted packet is
+  /// processed; RunStats carries the io_* capture accounting beside the
+  /// usual fields, with
+  ///   offered(delivered) == processed + dropped + shed
+  /// exact, and kernel drops/skips reported separately. An exception from
+  /// the source (a corrupt pcap record) is rethrown after every thread of
+  /// the run has been stopped and joined.
   RunStats run_source(netio::PacketSource& source,
                       const SourceRunConfig& config);
   RunStats run_source(netio::PacketSource& source) {
@@ -270,11 +274,12 @@ class MultiCoreEngine {
   }
 
  private:
-  /// What travels on a worker queue: the packet plus the shed-compensation
-  /// weight (1 except under kShed pressure; an admitted packet with weight
-  /// w stands for w offered packets).
+  /// What travels on a worker queue: a copy of the record (a source reuses
+  /// its burst buffer on the next pull) plus the shed-compensation weight
+  /// (1 except under kShed pressure; an admitted packet with weight w
+  /// stands for w offered packets).
   struct QueueItem {
-    const netio::PacketRecord* rec = nullptr;
+    netio::PacketRecord rec;
     std::uint32_t weight = 1;
   };
 
@@ -302,7 +307,7 @@ class MultiCoreEngine {
   telemetry::Gauge tel_mpps_;
   telemetry::Gauge tel_wall_seconds_;
   telemetry::Gauge tel_wsaf_pressure_;
-  // Capture-plane series (run_source), all manager-written.
+  // Capture-plane series, all manager-written.
   telemetry::Counter tel_io_received_;
   telemetry::Counter tel_io_kernel_dropped_;
   telemetry::Counter tel_io_skipped_;
@@ -310,7 +315,6 @@ class MultiCoreEngine {
   telemetry::Counter tel_io_truncated_;
   telemetry::Counter tel_io_bursts_;
   telemetry::Counter tel_io_wait_cycles_;
-  telemetry::Gauge tel_io_mpps_;
 };
 
 }  // namespace instameasure::runtime

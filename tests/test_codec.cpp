@@ -10,16 +10,22 @@
 namespace instameasure::netio {
 namespace {
 
+// gtest names each case by the raw bytes of its CodecCase. The filler bytes
+// after `proto` used to be padding, so the names took whatever the stack
+// held and changed from build to build; they are now explicit and fixed to
+// the names the cases have always been listed under.
 struct CodecCase {
   IpProto proto;
+  std::array<std::uint8_t, 7> filler;
   std::size_t payload;
 };
+static_assert(sizeof(CodecCase) == 16, "CodecCase must have no padding");
 
 class CodecRoundTrip
     : public ::testing::TestWithParam<CodecCase> {};
 
 TEST_P(CodecRoundTrip, KeySurvivesEncodeDecode) {
-  const auto [proto, payload] = GetParam();
+  const auto [proto, filler, payload] = GetParam();
   FlowKey key{0x0A000001, 0xC0A80A02, 12345, 80,
               static_cast<std::uint8_t>(proto)};
   const auto frame = encode_frame(key, payload);
@@ -31,13 +37,17 @@ TEST_P(CodecRoundTrip, KeySurvivesEncodeDecode) {
 
 INSTANTIATE_TEST_SUITE_P(
     ProtocolsAndSizes, CodecRoundTrip,
-    ::testing::Values(CodecCase{IpProto::kTcp, 0},
-                      CodecCase{IpProto::kTcp, 100},
-                      CodecCase{IpProto::kTcp, 1460},
-                      CodecCase{IpProto::kUdp, 0},
-                      CodecCase{IpProto::kUdp, 512},
-                      CodecCase{IpProto::kIcmp, 0},
-                      CodecCase{IpProto::kIcmp, 56}));
+    ::testing::Values(
+        CodecCase{IpProto::kTcp, {0x00, 0x01, 0x1B, 0x03, 0x3B, 0x2C, 0x00}, 0},
+        CodecCase{IpProto::kTcp, {0xFF, 0x48, 0x00, 0x00, 0x00, 0xD0, 0xEF},
+                  100},
+        CodecCase{IpProto::kTcp, {}, 1460},
+        CodecCase{IpProto::kUdp, {}, 0},
+        CodecCase{IpProto::kUdp, {0x00, 0x01, 0x1B, 0x03, 0x1E, 0x09, 0x00},
+                  512},
+        CodecCase{IpProto::kIcmp, {0xDA, 0x48, 0x00, 0x00, 0x00, 0xD0, 0xCA},
+                  0},
+        CodecCase{IpProto::kIcmp, {}, 56}));
 
 TEST(Codec, MinimumFrameIs60Bytes) {
   FlowKey key{1, 2, 3, 4, static_cast<std::uint8_t>(IpProto::kUdp)};

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "analysis/ground_truth.h"
+#include "resilience/faultpoint.h"
 #include "trace/generator.h"
 #include "wsaf_layout_env.h"
 
@@ -125,7 +126,11 @@ TEST(MultiCore, PacedReplayApproximatesTargetRate) {
   }
   MultiCoreEngine engine{small_config(1)};
   const double pace = 100'000;  // 100 kpps -> ~0.5s
-  const auto stats = engine.run(slice, pace);
+  netio::ReplaySource::Config paced;
+  paced.pace_pps = pace;
+  netio::ReplaySource source{
+      std::span<const netio::PacketRecord>{slice.packets}, paced};
+  const auto stats = engine.run_source(source);
   EXPECT_NEAR(stats.wall_seconds, 0.5, 0.15);
   EXPECT_EQ(stats.producer_stalls, 0u);
   EXPECT_EQ(stats.per_worker_packets[0], slice.packets.size());
@@ -181,6 +186,41 @@ TEST(MultiCore, TelemetryPopulated) {
   for (const auto f : stats.worker_busy_fraction) {
     EXPECT_GE(f, 0.0);
     EXPECT_LE(f, 1.0);
+  }
+}
+
+// RunStats counts one run, never the engine's lifetime: a second run on the
+// same engine reports only its own packets, stalls and drops, with
+// telemetry compiled in or out.
+TEST(MultiCore, SecondRunReportsOnlyItsOwnCounts) {
+  const auto trace = test_trace();
+  trace::Trace half;
+  half.packets.assign(trace.packets.begin(),
+                      trace.packets.begin() + trace.packets.size() / 2);
+  // Drop-tail with no retries: every failed push is exactly one producer
+  // stall and one drop. The injected queue-full rate (where fault points
+  // are compiled in) guarantees both runs see some.
+  resilience::ScopedFaults faults{
+      {"runtime.queue_full", {.probability = 0.2, .seed = 11}}};
+  auto config = small_config(2);
+  config.queue_capacity = 1 << 8;
+  config.overload.policy = OverloadPolicy::kDropTail;
+  config.overload.full_queue_retries = 0;
+  MultiCoreEngine engine{config};
+  const auto first = engine.run(trace);
+  const auto second = engine.run(half);
+  for (const auto* stats : {&first, &second}) {
+    std::uint64_t sum = 0;
+    for (const auto p : stats->per_worker_packets) sum += p;
+    EXPECT_EQ(sum, stats->processed);
+    EXPECT_EQ(stats->producer_stalls, stats->dropped);
+  }
+  EXPECT_EQ(first.processed + first.dropped, trace.packets.size());
+  EXPECT_EQ(second.packets, half.packets.size());
+  EXPECT_EQ(second.processed + second.dropped, half.packets.size());
+  if (resilience::kFaultPointsEnabled) {
+    EXPECT_GT(first.dropped, 0u);
+    EXPECT_GT(second.dropped, 0u);
   }
 }
 

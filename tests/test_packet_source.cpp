@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -23,6 +24,7 @@
 #include "netio/afpacket.h"
 #include "netio/codec.h"
 #include "netio/pcap.h"
+#include "resilience/faultpoint.h"
 #include "runtime/multicore.h"
 #include "trace/generator.h"
 
@@ -127,6 +129,58 @@ TEST(ReplaySource, SpeedFactorCompressesPacing) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   EXPECT_LT(elapsed, 0.06);
+}
+
+TEST(ReplaySource, FixedRatePacing) {
+  // 5000 records at 50 kpps: the last one is due 99.98 ms after the first
+  // pull, whatever the timestamps say (they span only 5 us here).
+  const auto records = make_records(5'000);
+  ReplaySource::Config config;
+  config.pace_pps = 50'000;
+  ReplaySource source{std::span<const PacketRecord>{records}, config};
+  std::array<PacketRecord, 64> burst;
+  const auto start = std::chrono::steady_clock::now();
+  std::size_t total = 0;
+  while (!source.exhausted()) {
+    total += source.next_burst(std::span{burst});
+  }
+  const auto elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_EQ(total, records.size());
+  EXPECT_GE(elapsed, 0.0999);
+  EXPECT_LT(elapsed, 0.3);
+  EXPECT_GT(source.stats().wait_cycles, 0u);
+}
+
+TEST(ReplaySource, RejectsInvalidRates) {
+  const auto records = make_records(10);
+  const std::span<const PacketRecord> span{records};
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double speed : {0.0, -1.0, nan, inf}) {
+    ReplaySource::Config config;
+    config.speed = speed;
+    try {
+      ReplaySource source{span, config};
+      ADD_FAILURE() << "speed " << speed << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("speed"), std::string::npos);
+    }
+  }
+  for (const double pps : {-1.0, nan, inf}) {
+    ReplaySource::Config config;
+    config.pace_pps = pps;
+    try {
+      ReplaySource source{span, config};
+      ADD_FAILURE() << "pace_pps " << pps << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("pace_pps"), std::string::npos);
+    }
+  }
+  ReplaySource::Config unpaced;
+  unpaced.pace_pps = 0;
+  EXPECT_NO_THROW((ReplaySource{span, unpaced}));
 }
 
 // ---------------------------------------------------------- PcapFileSource
@@ -258,13 +312,85 @@ TEST(RunSource, MaxPacketsBoundsDelivery) {
   EXPECT_FALSE(source.exhausted());
 }
 
-TEST(RunSource, ShedPolicyRejected) {
+/// A pcap savefile of `records` in the temp dir, removed on destruction.
+class TempPcap {
+ public:
+  TempPcap(const char* tag, const std::vector<PacketRecord>& records)
+      : path_((std::filesystem::temp_directory_path() /
+               ("im_run_source_" + std::to_string(::getpid()) + "_" + tag +
+                ".pcap"))
+                  .string()) {
+    PcapWriter writer{path_};
+    for (const auto& rec : records) writer.write_record(rec);
+  }
+  ~TempPcap() { std::filesystem::remove(path_); }
+  TempPcap(const TempPcap&) = delete;
+  TempPcap& operator=(const TempPcap&) = delete;
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+};
+
+// The shed ladder's compensation weights ride on by-value queue items, so
+// kShed works for a source whose burst buffer is reused on every pull.
+TEST(RunSource, ShedThroughPcapSourceKeepsExactAccounting) {
+  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
+  const auto records = make_records(20'000);
+  const TempPcap pcap{"shed", records};
+  resilience::ScopedFaults faults{
+      {"runtime.queue_full", {.probability = 0.2, .seed = 5}}};
   auto config = small_config(2);
+  config.queue_capacity = 1 << 8;
   config.overload.policy = runtime::OverloadPolicy::kShed;
+  config.overload.full_queue_retries = 0;
+  config.overload.escalate_after_stalls = 8;
+  config.overload.max_shed_level = 4;
   runtime::MultiCoreEngine engine{config};
-  const auto records = make_records(10);
-  ReplaySource source{std::span<const PacketRecord>{records}};
-  EXPECT_THROW((void)engine.run_source(source), std::invalid_argument);
+  PcapFileSource source{pcap.path()};
+  const auto stats = engine.run_source(source);
+  EXPECT_EQ(stats.source, "pcap");
+  EXPECT_EQ(stats.packets, records.size());
+  EXPECT_EQ(stats.processed + stats.dropped + stats.shed, stats.packets);
+  EXPECT_EQ(stats.dropped, 0u);
+  EXPECT_GT(stats.shed, 0u);
+  EXPECT_GE(stats.shed_level_peak, 1u);
+}
+
+// A source that throws mid-run (here a pcap whose last record is cut short)
+// must not leave joinable worker threads behind: run_source stops them and
+// rethrows, and the engine stays usable.
+TEST(RunSource, SourceErrorStopsWorkersAndPropagates) {
+  const auto records = make_records(20'000);
+  const TempPcap pcap{"corrupt", records};
+  std::filesystem::resize_file(pcap.path(),
+                               std::filesystem::file_size(pcap.path()) - 10);
+  runtime::MultiCoreEngine engine{small_config(2)};
+  PcapFileSource source{pcap.path()};
+  EXPECT_THROW((void)engine.run_source(source), std::runtime_error);
+  ReplaySource replay{std::span<const PacketRecord>{records}};
+  const auto stats = engine.run_source(replay);
+  EXPECT_EQ(stats.processed, records.size());
+}
+
+// The watchdog heartbeats the workers of every source, not just replay:
+// a worker wedged for 100 ms on its first burst of a pcap feed while its
+// queue holds work must be reported.
+TEST(RunSource, WatchdogReportsWedgedWorker) {
+  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
+  const auto records = make_records(20'000);
+  const TempPcap pcap{"watchdog", records};
+  resilience::ScopedFaults faults{
+      {"runtime.worker_stall",
+       {.probability = 1.0, .max_fires = 1, .param = 100e6}}};
+  auto config = small_config(1);
+  config.overload.watchdog_interval_ms = 5.0;
+  config.overload.watchdog_stall_intervals = 3;
+  runtime::MultiCoreEngine engine{config};
+  PcapFileSource source{pcap.path()};
+  const auto stats = engine.run_source(source);
+  EXPECT_GE(stats.watchdog_stall_reports, 1u);
+  EXPECT_EQ(stats.processed, records.size());
 }
 
 TEST(RunSource, DropTailKeepsExactAccounting) {

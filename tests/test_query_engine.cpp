@@ -485,7 +485,11 @@ TEST(QueryPlane, ConcurrentQueriesDuringIngest) {
   };
   std::thread r1{reader}, r2{reader};
   // Pace the replay so ingest and queries genuinely overlap.
-  const auto stats = engine.run(trace, /*pace_pps=*/1.5e6);
+  netio::ReplaySource::Config paced;
+  paced.pace_pps = 1.5e6;
+  netio::ReplaySource source{
+      std::span<const netio::PacketRecord>{trace.packets}, paced};
+  const auto stats = engine.run_source(source);
   done.store(true, std::memory_order_release);
   r1.join();
   r2.join();

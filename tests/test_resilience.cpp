@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <fstream>
 #include <set>
@@ -511,9 +512,10 @@ TEST(OverloadChaos, ShedPolicyIdleMatchesBlockBitExactly) {
   const auto trace = chaos_trace();
   const auto snapshots = [&](runtime::OverloadPolicy policy) {
     auto config = small_config(2);
-    // Deep queues so real contention never engages the ladder: weight-1 items
-    // only, which is the precondition for bit-identical shard state.
-    config.queue_capacity = 1 << 15;
+    // Queues that hold the whole trace, so a push never finds its queue full
+    // however the workers are scheduled and the ladder never engages:
+    // weight-1 items only, the precondition for bit-identical shard state.
+    config.queue_capacity = std::bit_ceil(trace.packets.size() + 1);
     config.overload.policy = policy;
     runtime::MultiCoreEngine engine{config};
     const auto stats = engine.run(trace);
@@ -615,7 +617,11 @@ TEST(OverloadPaced, ShedBoundsBacklogWhereBlockFallsBehind) {
     config.overload.full_queue_retries = 4;
     config.overload.escalate_after_stalls = 16;
     runtime::MultiCoreEngine engine{config};
-    return engine.run(slice, pace);
+    netio::ReplaySource::Config paced;
+    paced.pace_pps = pace;
+    netio::ReplaySource source{
+        std::span<const netio::PacketRecord>{slice.packets}, paced};
+    return engine.run_source(source);
   };
   const auto block = run_policy(runtime::OverloadPolicy::kBlock);
   const auto shed = run_policy(runtime::OverloadPolicy::kShed);

@@ -444,8 +444,9 @@ TEST(Integration, MultiCoreStatsAgreeWithRegistry) {
   runtime::MultiCoreEngine engine{config};
   const auto stats = engine.run(trace);
 
-  // RunStats is derived from the registry when telemetry is on and from
-  // local tallies when it is off — either way the totals must balance.
+  // RunStats reads the run's own manager/worker counters, which the
+  // registry mirrors live when telemetry is on — either way the totals
+  // must balance, and with telemetry on the two must agree.
   std::uint64_t total = 0;
   for (const auto p : stats.per_worker_packets) total += p;
   EXPECT_EQ(total, trace.packets.size());

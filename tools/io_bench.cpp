@@ -12,7 +12,7 @@
 //
 // Usage: io_bench [--source replay|pcap|afpacket] [--interface IF]
 //                 [--pcap FILE] [--workers N] [--packets N]
-//                 [--max-seconds S] [--policy block|droptail] [--pace]
+//                 [--max-seconds S] [--policy block|droptail|shed] [--pace]
 //                 [--speed X] [--scale S] [--seed N] [--l1-mb N]
 //                 [--wsaf-log2 N] [--out FILE] [--git-sha SHA] [--smoke]
 //
@@ -20,6 +20,7 @@
 //   error and exits 1 (replay/pcap run anywhere). --smoke shrinks the
 //   replay workload to a seconds-long CI configuration.
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -61,7 +62,7 @@ struct Options {
                "io_bench: %s\n"
                "usage: io_bench [--source replay|pcap|afpacket] "
                "[--interface IF] [--pcap FILE] [--workers N] [--packets N] "
-               "[--max-seconds S] [--policy block|droptail] [--pace] "
+               "[--max-seconds S] [--policy block|droptail|shed] [--pace] "
                "[--speed X] [--scale S] [--seed N] [--l1-mb N] "
                "[--wsaf-log2 N] [--out FILE] [--git-sha SHA] [--smoke]\n",
                msg);
@@ -134,12 +135,19 @@ int main(int argc, char** argv) {
   if (opt.source == "afpacket" && opt.packets == 0 && opt.max_seconds <= 0) {
     usage_error("a live source needs --packets or --max-seconds to stop");
   }
-  if (opt.workers == 0 || opt.l1_mb == 0 || opt.speed <= 0 ||
-      opt.scale <= 0 || opt.scale > 1) {
+  if (!std::isfinite(opt.speed) || opt.speed <= 0) {
+    usage_error("--speed must be a finite number > 0");
+  }
+  if (opt.workers == 0 || opt.l1_mb == 0 || opt.scale <= 0 || opt.scale > 1) {
     usage_error("invalid configuration");
   }
-  if (opt.policy != "block" && opt.policy != "droptail") {
-    usage_error("--policy must be block or droptail");
+  runtime::OverloadPolicy policy = runtime::OverloadPolicy::kBlock;
+  if (opt.policy == "droptail") {
+    policy = runtime::OverloadPolicy::kDropTail;
+  } else if (opt.policy == "shed") {
+    policy = runtime::OverloadPolicy::kShed;
+  } else if (opt.policy != "block") {
+    usage_error("--policy must be block, droptail, or shed");
   }
 
   // Build the source. The replay workload also parameterizes the meta
@@ -181,9 +189,7 @@ int main(int argc, char** argv) {
   config.workers = opt.workers;
   config.engine.regulator.l1_memory_bytes = opt.l1_mb * 1024 * 1024;
   config.engine.wsaf.log2_entries = opt.wsaf_log2;
-  config.overload.policy = opt.policy == "block"
-                               ? runtime::OverloadPolicy::kBlock
-                               : runtime::OverloadPolicy::kDropTail;
+  config.overload.policy = policy;
   runtime::MultiCoreEngine engine{config};
 
   runtime::SourceRunConfig run_config;
@@ -191,7 +197,13 @@ int main(int argc, char** argv) {
   run_config.max_seconds = opt.max_seconds;
   std::printf("io_bench: source=%s workers=%u policy=%s\n",
               opt.source.c_str(), opt.workers, opt.policy.c_str());
-  const auto stats = engine.run_source(*source, run_config);
+  runtime::RunStats stats;
+  try {
+    stats = engine.run_source(*source, run_config);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "io_bench: %s\n", e.what());
+    return 1;
+  }
   const auto source_stats = source->stats();
 
   analysis::TrajectoryRun run;
@@ -239,11 +251,12 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "io_bench: %llu packets in %.3f s (%.3f Mpps), processed %llu, "
-      "queue-dropped %llu, kernel-dropped %llu, skipped %llu "
+      "queue-dropped %llu, shed %llu, kernel-dropped %llu, skipped %llu "
       "(fragments %llu, truncated %llu)\n",
       static_cast<unsigned long long>(stats.packets), stats.wall_seconds,
       stats.mpps, static_cast<unsigned long long>(stats.processed),
       static_cast<unsigned long long>(stats.dropped),
+      static_cast<unsigned long long>(stats.shed),
       static_cast<unsigned long long>(stats.io_kernel_dropped),
       static_cast<unsigned long long>(stats.io_skipped),
       static_cast<unsigned long long>(stats.io_fragments),
