@@ -130,12 +130,10 @@ int run_live_dashboard(const trace::Trace& trace, const util::CliArgs& args,
                   (item.key.src_ip >> 16) & 0xff, (item.key.src_ip >> 8) & 0xff,
                   item.key.src_ip & 0xff, item.packets);
     }
-    if constexpr (audit::kEnabled) {
-      const auto a = queries->audit();
-      if (a.comparisons > 0) {
-        std::printf(" | audit: ARE %.1f%% recall %.0f%%",
-                    a.are * 100, a.recall * 100);
-      }
+    const auto a = queries->audit();
+    if (a.comparisons > 0) {
+      std::printf(" | audit: ARE %.1f%% recall %.0f%%",
+                  a.are * 100, a.recall * 100);
     }
     std::printf("\n");
   }
@@ -156,30 +154,28 @@ int run_live_dashboard(const trace::Trace& trace, const util::CliArgs& args,
                 util::format_bytes(static_cast<std::uint64_t>(item.bytes))
                     .c_str());
   }
-  if constexpr (audit::kEnabled) {
-    // The end-of-run audit summary is exact: each worker runs its
-    // exactness sweep as it drains, so these equal the offline
-    // analysis::metrics computation over the audited slice.
-    const auto a = queries->audit();
-    if (a.comparisons > 0) {
-      std::printf("\naccuracy audit (exact shadow of 1/%llu of flow "
-                  "space, %llu flows):\n",
-                  1ull << mc.engine.audit.sample_shift,
-                  static_cast<unsigned long long>(a.comparisons));
-      std::printf("  ARE %.2f%% (bias %+.2f%%) | HH recall %.0f%% "
-                  "precision %.0f%% (%llu true crossings)\n",
-                  a.are * 100, a.mean_rel_bias * 100, a.recall * 100,
-                  a.precision * 100,
-                  static_cast<unsigned long long>(a.true_hh));
-      std::printf("  undercounts %llu (sketch residual %llu, wsaf "
-                  "eviction %llu, shed compensation %llu), "
-                  "overcounts %llu\n",
-                  static_cast<unsigned long long>(a.undercount),
-                  static_cast<unsigned long long>(a.causes[0]),
-                  static_cast<unsigned long long>(a.causes[1]),
-                  static_cast<unsigned long long>(a.causes[2]),
-                  static_cast<unsigned long long>(a.overcount));
-    }
+  // The end-of-run audit summary is exact: each worker runs its
+  // exactness sweep as it drains, so these equal the offline
+  // analysis::metrics computation over the audited slice.
+  const auto a = queries->audit();
+  if (a.comparisons > 0) {
+    std::printf("\naccuracy audit (exact shadow of 1/%llu of flow "
+                "space, %llu flows):\n",
+                1ull << mc.engine.audit.sample_shift,
+                static_cast<unsigned long long>(a.comparisons));
+    std::printf("  ARE %.2f%% (bias %+.2f%%) | HH recall %.0f%% "
+                "precision %.0f%% (%llu true crossings)\n",
+                a.are * 100, a.mean_rel_bias * 100, a.recall * 100,
+                a.precision * 100,
+                static_cast<unsigned long long>(a.true_hh));
+    std::printf("  undercounts %llu (sketch residual %llu, wsaf "
+                "eviction %llu, shed compensation %llu), "
+                "overcounts %llu\n",
+                static_cast<unsigned long long>(a.undercount),
+                static_cast<unsigned long long>(a.causes[0]),
+                static_cast<unsigned long long>(a.causes[1]),
+                static_cast<unsigned long long>(a.causes[2]),
+                static_cast<unsigned long long>(a.overcount));
   }
   return 0;
 }

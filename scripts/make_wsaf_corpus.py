@@ -2,11 +2,15 @@
 """Regenerate the WSAF snapshot corpus under tests/corpus/.
 
 The files exercise flow_exporter --restore (and WsafTable::load) against
-hand-built snapshot bytes: one good legacy v1 archive, one good bucketed v2
-archive, and four corrupt v2 archives that must be rejected with a one-line
-diagnostic (BadInput.* ctest entries). The FlowKey hash is reimplemented
-here (mix64 / hash_combine from src/util/hash.h) so records carry flow_ids
-and slots that genuinely match their keys — the v2 loader cross-checks both.
+hand-built snapshot bytes: one good bucketed v2 archive, and corrupt v2
+archives that must be rejected with a one-line diagnostic (BadInput.* ctest
+entries). The FlowKey hash is reimplemented here (mix64 / hash_combine from
+src/util/hash.h) so records carry flow_ids and slots that genuinely match
+their keys — the loader cross-checks both.
+
+bad_wsaf_legacy_v1.imwsaf is not written here: it is a frozen v1
+("IMWSAF01") archive, kept so the loader's rejection of the retired format
+stays tested.
 
 Run from the repo root:  python3 scripts/make_wsaf_corpus.py
 """
@@ -40,9 +44,8 @@ def flow_hash(src_ip, dst_ip, src_port, dst_port, proto, seed):
 
 SEED = 0x1234
 RECORD = struct.Struct("<QIIHHBB2xI4xddQQ")  # 64 bytes, matches SnapshotRecord
-HEADER_V1 = struct.Struct("<8sIIQQQ")  # 40 bytes
 HEADER_V2 = struct.Struct("<8sIIIIQQQ")  # 48 bytes
-assert RECORD.size == 64 and HEADER_V1.size == 40 and HEADER_V2.size == 48
+assert RECORD.size == 64 and HEADER_V2.size == 48
 
 
 def key_n(n):
@@ -55,10 +58,6 @@ def record(key, slot, packets, bytes_, first, last, flow_id=None, referenced=0):
     src, dst, sport, dport, proto = key
     return RECORD.pack(slot, src, dst, sport, dport, proto, referenced, fid,
                        packets, bytes_, first, last)
-
-
-def v1_header(log2, probe, occupied, idle=0):
-    return HEADER_V1.pack(b"IMWSAF01", log2, probe, idle, SEED, occupied)
 
 
 def v2_header(log2, probe, layout, occupied, idle=0, old_log2=0):
@@ -101,15 +100,6 @@ def bucketed_keys_with_distinct_buckets(log2, count):
 def main():
     corpus = Path(__file__).resolve().parent.parent / "tests" / "corpus"
     corpus.mkdir(parents=True, exist_ok=True)
-
-    # Good: legacy v1 archive (40-byte header, no layout field) — must load
-    # as the scalar-probe layout.
-    keys = scalar_keys_with_distinct_home_slots(log2=6, count=3)
-    body = b"".join(record(key, slot, float(i + 1), float((i + 1) * 64),
-                           100 * (i + 1), 200 * (i + 1))
-                    for i, (key, slot) in enumerate(keys))
-    (corpus / "ok_wsaf_legacy_v1.imwsaf").write_bytes(
-        v1_header(6, 8, len(keys)) + body)
 
     # Good: bucketed v2 archive — tags/bitmaps are rebuilt from the records.
     bkeys = bucketed_keys_with_distinct_buckets(log2=6, count=3)

@@ -33,8 +33,6 @@ AuditSummary merge(const AuditSummary& a, const AuditSummary& b) {
   return m;
 }
 
-#if !defined(INSTAMEASURE_AUDIT_DISABLED)
-
 namespace {
 
 /// Relative-error magnitudes land in a log-scale histogram as parts per
@@ -360,7 +358,5 @@ void Auditor::reset() {
   tel_sampled_flows_.set(0);
   refresh_gauges();
 }
-
-#endif  // !INSTAMEASURE_AUDIT_DISABLED
 
 }  // namespace instameasure::audit

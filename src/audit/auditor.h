@@ -35,10 +35,8 @@
 // (single-writer, like telemetry cells), so QueryEngine::audit() may snapshot
 // them from any thread while ingest runs.
 //
-// Compile-out: -DINSTAMEASURE_ENABLE_AUDIT=OFF defines
-// INSTAMEASURE_AUDIT_DISABLED, which swaps Auditor for an empty stub with the
-// identical API; audit::kEnabled lets the engine `if constexpr` the hooks
-// away so OFF builds are bit-identical to pre-audit code.
+// Off switch: an engine with EngineConfig::enable_audit = false holds no
+// Auditor, and every hook is one null-pointer test.
 //
 // Dependency direction: this library sits BELOW im_core (im_core links
 // im_audit), so it speaks netio/telemetry types only — WSAF pressure arrives
@@ -46,8 +44,11 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <unordered_map>
 
 #include "netio/flow_key.h"
 #include "telemetry/metrics.h"
@@ -140,18 +141,6 @@ struct AuditSummary {
 /// views live in the shared telemetry histograms, which aggregate across
 /// shards already.
 [[nodiscard]] AuditSummary merge(const AuditSummary& a, const AuditSummary& b);
-
-}  // namespace instameasure::audit
-
-#if !defined(INSTAMEASURE_AUDIT_DISABLED)
-
-#include <atomic>
-#include <functional>
-#include <unordered_map>
-
-namespace instameasure::audit {
-
-inline constexpr bool kEnabled = true;
 
 /// Exact shadow account for one sampled flow. Owned by the auditor's map;
 /// pointers returned by observe() are valid until reset().
@@ -284,45 +273,3 @@ class Auditor {
 };
 
 }  // namespace instameasure::audit
-
-#else  // INSTAMEASURE_AUDIT_DISABLED: zero-cost stubs, identical API.
-
-#include <functional>
-
-namespace instameasure::audit {
-
-inline constexpr bool kEnabled = false;
-
-struct FlowAudit {
-  netio::FlowKey key;
-  double packets = 0;
-  double bytes = 0;
-};
-
-class Auditor {
- public:
-  explicit Auditor(const AuditConfig&) {}
-
-  FlowAudit* observe(const netio::FlowKey&, std::uint32_t, std::uint64_t) {
-    return nullptr;
-  }
-  void record_comparison(const FlowAudit&, const Estimate&, int,
-                         std::uint64_t) {}
-  void on_accumulate(const netio::FlowKey&) {}
-  void on_detection(const netio::FlowKey&, bool, std::uint64_t) {}
-  void note_shed(const netio::FlowKey&, std::uint64_t) {}
-  void final_sweep(const std::function<Estimate(const netio::FlowKey&)>&,
-                   std::uint64_t) {}
-  [[nodiscard]] AuditSummary summary() const { return {}; }
-  [[nodiscard]] bool sampled(const netio::FlowKey&) const { return false; }
-  [[nodiscard]] const AuditConfig& config() const noexcept {
-    static const AuditConfig kDefault{};
-    return kDefault;
-  }
-  [[nodiscard]] std::size_t shadow_flows() const noexcept { return 0; }
-  void reset() {}
-};
-
-}  // namespace instameasure::audit
-
-#endif  // INSTAMEASURE_AUDIT_DISABLED

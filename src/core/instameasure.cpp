@@ -93,10 +93,8 @@ InstaMeasure::InstaMeasure(const EngineConfig& config)
       trace_track_(config_.trace_track),
       perf_(config_.perf) {
   if (config.track_top_k > 0) tracker_.emplace(config.track_top_k);
-  if constexpr (audit::kEnabled) {
-    if (config_.enable_audit) {
-      audit_ = std::make_unique<audit::Auditor>(config_.audit);
-    }
+  if (config_.enable_audit) {
+    audit_ = std::make_unique<audit::Auditor>(config_.audit);
   }
   if (config_.publish_views) {
     auto pub = config_.publish;
@@ -162,9 +160,7 @@ void InstaMeasure::process(const netio::PacketRecord& rec) {
     const auto totals = wsaf_accumulate(rec.key, flow_hash,
                                         event->est_packets, event->est_bytes,
                                         rec.timestamp_ns);
-    if constexpr (audit::kEnabled) {
-      if (audit_) audit_->on_accumulate(rec.key);
-    }
+    if (audit_) audit_->on_accumulate(rec.key);
     if constexpr (telemetry::kEnabled) {
       tel_event_accumulate_ns_.record(ns_between(e0, SteadyClock::now()));
       // The ratio moves only when an insertion happens, so updating it on
@@ -181,16 +177,14 @@ void InstaMeasure::process(const netio::PacketRecord& rec) {
                          totals.first_seen_ns, rec.timestamp_ns);
     }
   }
-  if constexpr (audit::kEnabled) {
-    if (audit_) {
-      // Observe AFTER the engine absorbed the packet so a due comparison
-      // reads an estimate that includes it.
-      if (auto* flow =
-              audit_->observe(rec.key, rec.wire_len, rec.timestamp_ns)) {
-        audit_->record_comparison(
-            *flow, audit_estimate(rec.key, flow_hash),
-            static_cast<int>(pressure().level), rec.timestamp_ns);
-      }
+  if (audit_) {
+    // Observe AFTER the engine absorbed the packet so a due comparison
+    // reads an estimate that includes it.
+    if (auto* flow =
+            audit_->observe(rec.key, rec.wire_len, rec.timestamp_ns)) {
+      audit_->record_comparison(
+          *flow, audit_estimate(rec.key, flow_hash),
+          static_cast<int>(pressure().level), rec.timestamp_ns);
     }
   }
   if (publisher_) publisher_->maybe_publish(wsaf_, rec.timestamp_ns);
@@ -313,9 +307,7 @@ void InstaMeasure::process_chunk(const netio::PacketRecord* recs,
     const auto totals =
         wsaf_accumulate(rec.key, flow_hash, pending[p].event.est_packets,
                         pending[p].event.est_bytes, rec.timestamp_ns);
-    if constexpr (audit::kEnabled) {
-      if (audit_) audit_->on_accumulate(rec.key);
-    }
+    if (audit_) audit_->on_accumulate(rec.key);
     if constexpr (telemetry::kEnabled) {
       tel_event_accumulate_ns_.record(ns_between(e0, SteadyClock::now()));
       tel_ips_pps_ratio_.set(regulator_.regulation_rate());
@@ -344,16 +336,13 @@ void InstaMeasure::process_chunk(const netio::PacketRecord* recs,
   // converge to the identical final_sweep numbers — the differential suite
   // pins that). Keeping it out of stages 1-3 leaves their prefetch overlap
   // untouched; the unsampled reject is one hash + mask test per packet.
-  if constexpr (audit::kEnabled) {
-    if (audit_) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (auto* flow = audit_->observe(recs[i].key, recs[i].wire_len,
-                                         recs[i].timestamp_ns)) {
-          audit_->record_comparison(
-              *flow, audit_estimate(recs[i].key, hashes[i]),
-              static_cast<int>(pressure().level),
-              recs[i].timestamp_ns);
-        }
+  if (audit_) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (auto* flow = audit_->observe(recs[i].key, recs[i].wire_len,
+                                       recs[i].timestamp_ns)) {
+        audit_->record_comparison(
+            *flow, audit_estimate(recs[i].key, hashes[i]),
+            static_cast<int>(pressure().level), recs[i].timestamp_ns);
       }
     }
   }
@@ -393,9 +382,7 @@ void InstaMeasure::check_heavy_hitter(const netio::FlowKey& key,
                      static_cast<std::uint32_t>(TopKMetric::kPackets));
       }
     }
-    if constexpr (audit::kEnabled) {
-      if (audit_) audit_->on_detection(key, /*by_bytes=*/false, now_ns);
-    }
+    if (audit_) audit_->on_detection(key, /*by_bytes=*/false, now_ns);
     reported = true;
   }
   if (hh.byte_threshold > 0 && bytes >= hh.byte_threshold &&
@@ -410,9 +397,7 @@ void InstaMeasure::check_heavy_hitter(const netio::FlowKey& key,
                      static_cast<std::uint32_t>(TopKMetric::kBytes));
       }
     }
-    if constexpr (audit::kEnabled) {
-      if (audit_) audit_->on_detection(key, /*by_bytes=*/true, now_ns);
-    }
+    if (audit_) audit_->on_detection(key, /*by_bytes=*/true, now_ns);
     reported = true;
   }
   if (reported) {
@@ -435,14 +420,12 @@ audit::Estimate InstaMeasure::audit_estimate(const netio::FlowKey& key,
 }
 
 void InstaMeasure::audit_final_sweep() {
-  if constexpr (audit::kEnabled) {
-    if (!audit_) return;
-    audit_->final_sweep(
-        [this](const netio::FlowKey& key) {
-          return audit_estimate(key, key.hash(config_.seed));
-        },
-        wsaf_latest_ns());
-  }
+  if (!audit_) return;
+  audit_->final_sweep(
+      [this](const netio::FlowKey& key) {
+        return audit_estimate(key, key.hash(config_.seed));
+      },
+      wsaf_latest_ns());
 }
 
 InstaMeasure::FlowEstimate InstaMeasure::query(

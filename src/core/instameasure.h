@@ -83,15 +83,14 @@ struct EngineConfig {
   /// process()/process_batch() (perf groups count the opening thread);
   /// when perf is unavailable the per-chunk cost is one relaxed load.
   telemetry::PerfStageProfiler* perf = nullptr;
-  /// Live accuracy audit: when true (and the audit plane is compiled in),
-  /// the engine owns an audit::Auditor that keeps an exact shadow account
-  /// for the hash-sampled slice in `audit` and compares estimates against
-  /// it inline — the im_audit_* series and kAudit trace events. The
-  /// auditor inherits registry/labels/trace/track and the heavy-hitter
-  /// thresholds unless `audit` sets its own. Costs one extra key hash per
-  /// packet when on; a disabled-at-build auditor (ENABLE_AUDIT=OFF)
-  /// compiles the hooks out entirely, and enable_audit=false leaves the
-  /// packet paths bit-identical to pre-audit builds.
+  /// Live accuracy audit: when true the engine owns an audit::Auditor
+  /// that keeps an exact shadow account for the hash-sampled slice in
+  /// `audit` and compares estimates against it inline — the im_audit_*
+  /// series and kAudit trace events. The auditor inherits
+  /// registry/labels/trace/track and the heavy-hitter thresholds unless
+  /// `audit` sets its own. Costs one extra key hash per packet when on;
+  /// enable_audit=false costs one null-pointer test per hook and leaves
+  /// the estimates bit-identical.
   bool enable_audit = false;
   audit::AuditConfig audit{};
   /// Software prefetch in the batched path: the layout pass prefetches
@@ -196,8 +195,8 @@ class InstaMeasure {
                       : false;
   }
 
-  /// The live accuracy auditor (null unless enable_audit and the audit
-  /// plane is compiled in). summary() is safe from any thread.
+  /// The live accuracy auditor (null unless enable_audit). summary() is
+  /// safe from any thread.
   [[nodiscard]] const audit::Auditor* auditor() const noexcept {
     return audit_.get();
   }
@@ -206,9 +205,7 @@ class InstaMeasure {
   /// `weight` times by the shed ladder — tells the auditor so errors on
   /// this flow attribute to shed compensation, not the sketch.
   void audit_note_shed(const netio::PacketRecord& rec, std::uint64_t weight) {
-    if constexpr (audit::kEnabled) {
-      if (audit_) audit_->note_shed(rec.key, weight);
-    }
+    if (audit_) audit_->note_shed(rec.key, weight);
   }
 
   /// End-of-run exactness pass: re-compares every audited flow against the

@@ -75,7 +75,7 @@ class QueryEngine {
   /// Live accuracy snapshot: the attached shard auditors' summaries merged
   /// (counts summed, ARE/recall recomputed from the raw sums — never an
   /// average of averages). All-zero / recall=precision=1 when no auditors
-  /// are attached or auditing is compiled out. Any thread, any time.
+  /// are attached. Any thread, any time.
   [[nodiscard]] audit::AuditSummary audit() const;
 
   /// Number of shard auditors attached.

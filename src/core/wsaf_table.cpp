@@ -897,23 +897,13 @@ namespace {
 // Snapshot format: header (magic, version, config) then one fixed-width
 // record per occupied slot. Little-endian host assumed (x86/ARM targets).
 //
-// v2 ("IMWSAF02") adds the layout to the header and validates each record
-// against it on load; bucket metadata is never serialized — tags are
+// v2 ("IMWSAF02") carries the layout in the header and load() validates
+// each record against it; bucket metadata is never serialized — tags are
 // derivable from each record's key (tag == low byte of flow_id), so load()
-// rebuilds them. v1 ("IMWSAF01") snapshots predate the layout field and
-// are still accepted, always as kScalarProbe, with v1's lenient record
-// checks (save() only ever writes v2).
+// rebuilds them. v1 ("IMWSAF01") predates the layout field and the record
+// checks; load() rejects it by name.
 constexpr char kMagicV1[8] = {'I', 'M', 'W', 'S', 'A', 'F', '0', '1'};
 constexpr char kMagicV2[8] = {'I', 'M', 'W', 'S', 'A', 'F', '0', '2'};
-
-struct SnapshotHeaderV1 {  // 40 bytes; no layout field (always scalar-probe)
-  char magic[8];
-  std::uint32_t log2_entries;
-  std::uint32_t probe_limit;
-  std::uint64_t idle_timeout_ns;
-  std::uint64_t seed;
-  std::uint64_t occupied;
-};
 
 struct SnapshotHeaderV2 {  // 48 bytes
   char magic[8];
@@ -1005,53 +995,37 @@ WsafTable WsafTable::load(const std::string& path) {
   in.read(magic, sizeof magic);
   if (!in) throw std::runtime_error("WsafTable::load: bad snapshot header");
 
-  WsafConfig config;
-  std::uint64_t claimed_occupied = 0;
-  // Nonzero: the snapshot captured an in-flight resize and old_log2 names
-  // the source region's geometry; load() completes the migration.
-  unsigned old_log2 = 0;
-  // v2 records carry enough redundancy (flow_id vs key, slot vs probe
-  // window) to cross-check; v1 predates the checks and loads leniently.
-  bool strict = false;
-  if (std::memcmp(magic, kMagicV2, sizeof magic) == 0) {
-    SnapshotHeaderV2 header{};
-    std::memcpy(header.magic, magic, sizeof magic);
-    in.read(reinterpret_cast<char*>(&header) + sizeof magic,
-            sizeof header - sizeof magic);
-    if (!in) throw std::runtime_error("WsafTable::load: truncated v2 header");
-    if (header.layout >
-        static_cast<std::uint32_t>(WsafLayout::kBucketed)) {
-      throw std::runtime_error("WsafTable::load: unknown layout in header");
-    }
-    config.layout = static_cast<WsafLayout>(header.layout);
-    if (config.layout == WsafLayout::kBucketed && header.log2_entries < 4) {
-      throw std::runtime_error(
-          "WsafTable::load: bad bucket count (bucketed layout needs "
-          "log2_entries >= 4)");
-    }
-    config.log2_entries = header.log2_entries;
-    config.probe_limit = header.probe_limit;
-    config.idle_timeout_ns = header.idle_timeout_ns;
-    config.seed = header.seed;
-    claimed_occupied = header.occupied;
-    old_log2 = header.reserved;
-    strict = true;
-  } else if (std::memcmp(magic, kMagicV1, sizeof magic) == 0) {
-    SnapshotHeaderV1 header{};
-    std::memcpy(header.magic, magic, sizeof magic);
-    in.read(reinterpret_cast<char*>(&header) + sizeof magic,
-            sizeof header - sizeof magic);
-    if (!in) throw std::runtime_error("WsafTable::load: truncated v1 header");
-    // Legacy snapshots predate WsafLayout and are always scalar-probe.
-    config.layout = WsafLayout::kScalarProbe;
-    config.log2_entries = header.log2_entries;
-    config.probe_limit = header.probe_limit;
-    config.idle_timeout_ns = header.idle_timeout_ns;
-    config.seed = header.seed;
-    claimed_occupied = header.occupied;
-  } else {
+  if (std::memcmp(magic, kMagicV1, sizeof magic) == 0) {
+    throw std::runtime_error(
+        "WsafTable::load: IMWSAF01 (v1) snapshots are no longer supported; "
+        "only IMWSAF02 loads");
+  }
+  if (std::memcmp(magic, kMagicV2, sizeof magic) != 0) {
     throw std::runtime_error("WsafTable::load: bad snapshot header");
   }
+  SnapshotHeaderV2 header{};
+  std::memcpy(header.magic, magic, sizeof magic);
+  in.read(reinterpret_cast<char*>(&header) + sizeof magic,
+          sizeof header - sizeof magic);
+  if (!in) throw std::runtime_error("WsafTable::load: truncated v2 header");
+  if (header.layout > static_cast<std::uint32_t>(WsafLayout::kBucketed)) {
+    throw std::runtime_error("WsafTable::load: unknown layout in header");
+  }
+  WsafConfig config;
+  config.layout = static_cast<WsafLayout>(header.layout);
+  if (config.layout == WsafLayout::kBucketed && header.log2_entries < 4) {
+    throw std::runtime_error(
+        "WsafTable::load: bad bucket count (bucketed layout needs "
+        "log2_entries >= 4)");
+  }
+  config.log2_entries = header.log2_entries;
+  config.probe_limit = header.probe_limit;
+  config.idle_timeout_ns = header.idle_timeout_ns;
+  config.seed = header.seed;
+  const std::uint64_t claimed_occupied = header.occupied;
+  // Nonzero: the snapshot captured an in-flight resize and old_log2 names
+  // the source region's geometry; load() completes the migration.
+  const unsigned old_log2 = header.reserved;
 
   if (config.log2_entries > 40) {
     throw std::runtime_error("WsafTable::load: implausible table size");
@@ -1223,37 +1197,32 @@ WsafTable WsafTable::load(const std::string& path) {
     }
     e.key = netio::FlowKey{rec.src_ip, rec.dst_ip, rec.src_port, rec.dst_port,
                            rec.proto};
-    if (strict || config.layout == WsafLayout::kBucketed) {
-      const auto rebuilt = e.key.hash(config.seed);
-      if (strict &&
-          static_cast<std::uint32_t>(rebuilt >> 32) != rec.flow_id) {
-        // Either the key or the flow_id bytes were corrupted; in the
-        // bucketed layout a wrong flow_id also means a wrong fingerprint
-        // tag, so the restored entry would be unfindable.
-        throw std::runtime_error(
-            "WsafTable::load: record flow_id does not match its key");
+    const auto rebuilt = e.key.hash(config.seed);
+    if (static_cast<std::uint32_t>(rebuilt >> 32) != rec.flow_id) {
+      // Either the key or the flow_id bytes were corrupted; in the
+      // bucketed layout a wrong flow_id also means a wrong fingerprint
+      // tag, so the restored entry would be unfindable.
+      throw std::runtime_error(
+          "WsafTable::load: record flow_id does not match its key");
+    }
+    bool reachable = false;
+    if (config.layout == WsafLayout::kBucketed) {
+      const auto bucket = rec.slot / WsafBucketMeta::kSlots;
+      for (unsigned j = 0; j < table.bucket_window_ && !reachable; ++j) {
+        reachable = table.bucket_of(rebuilt, j) == bucket;
       }
-      if (strict) {
-        bool reachable = false;
-        if (config.layout == WsafLayout::kBucketed) {
-          const auto bucket = rec.slot / WsafBucketMeta::kSlots;
-          for (unsigned j = 0; j < table.bucket_window_ && !reachable; ++j) {
-            reachable = table.bucket_of(rebuilt, j) == bucket;
-          }
-        } else {
-          for (unsigned p = 0; p < config.probe_limit && !reachable; ++p) {
-            reachable = table.slot_of(rebuilt, p) == rec.slot;
-          }
-        }
-        if (!reachable) {
-          throw std::runtime_error(
-              "WsafTable::load: record slot outside its key's probe window");
-        }
+    } else {
+      for (unsigned p = 0; p < config.probe_limit && !reachable; ++p) {
+        reachable = table.slot_of(rebuilt, p) == rec.slot;
       }
-      if (config.layout == WsafLayout::kBucketed) {
-        table.buckets_[rec.slot / WsafBucketMeta::kSlots].set(
-            rec.slot % WsafBucketMeta::kSlots, WsafBucketMeta::tag_of(rebuilt));
-      }
+    }
+    if (!reachable) {
+      throw std::runtime_error(
+          "WsafTable::load: record slot outside its key's probe window");
+    }
+    if (config.layout == WsafLayout::kBucketed) {
+      table.buckets_[rec.slot / WsafBucketMeta::kSlots].set(
+          rec.slot % WsafBucketMeta::kSlots, WsafBucketMeta::tag_of(rebuilt));
     }
     e.flow_id = rec.flow_id;
     e.packets = rec.packets;

@@ -1,7 +1,5 @@
 #include "resilience/faultpoint.h"
 
-#if !defined(INSTAMEASURE_FAULTPOINTS_DISABLED)
-
 #include "util/hash.h"
 
 namespace instameasure::resilience {
@@ -77,5 +75,3 @@ std::vector<std::string> FaultRegistry::armed() const {
 }
 
 }  // namespace instameasure::resilience
-
-#endif  // !INSTAMEASURE_FAULTPOINTS_DISABLED

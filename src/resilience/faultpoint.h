@@ -11,9 +11,6 @@
 // Cost model: an unarmed point is one relaxed atomic load and a
 // predictable branch — cheap enough for queue/channel/I-O paths (fault
 // points are deliberately NOT placed on the per-packet sketch path).
-// Building with -DINSTAMEASURE_ENABLE_FAULTPOINTS=OFF swaps everything
-// below for stubs whose fire() is a constant false, compiling every hook
-// out entirely.
 //
 // Usage in production code (site):
 //   auto& fp = resilience::faultpoint("runtime.queue_full");
@@ -27,7 +24,9 @@
 //   resilience::FaultRegistry::instance().disarm_all();
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -46,17 +45,6 @@ struct FaultSpec {
   double param = 0.0;
   std::uint64_t seed = 0x5eed;
 };
-
-}  // namespace instameasure::resilience
-
-#if !defined(INSTAMEASURE_FAULTPOINTS_DISABLED)
-
-#include <atomic>
-#include <mutex>
-
-namespace instameasure::resilience {
-
-inline constexpr bool kFaultPointsEnabled = true;
 
 /// A named failure site. Stable address for the process lifetime (the
 /// registry never deletes points), so call sites may cache a reference.
@@ -162,56 +150,3 @@ class ScopedFaults {
 };
 
 }  // namespace instameasure::resilience
-
-#else  // INSTAMEASURE_FAULTPOINTS_DISABLED: zero-cost stubs, identical API.
-
-namespace instameasure::resilience {
-
-inline constexpr bool kFaultPointsEnabled = false;
-
-class FaultPoint {
- public:
-  [[nodiscard]] bool fire() noexcept { return false; }
-  [[nodiscard]] double param() const noexcept { return 0.0; }
-  [[nodiscard]] const std::string& name() const noexcept {
-    static const std::string empty;
-    return empty;
-  }
-  [[nodiscard]] bool armed() const noexcept { return false; }
-  [[nodiscard]] std::uint64_t evaluations() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t fires() const noexcept { return 0; }
-  void arm(const FaultSpec&) noexcept {}
-  void disarm() noexcept {}
-};
-
-class FaultRegistry {
- public:
-  static FaultRegistry& instance() {
-    static FaultRegistry r;
-    return r;
-  }
-  [[nodiscard]] FaultPoint& point(const std::string&) {
-    static FaultPoint p;
-    return p;
-  }
-  void arm(const std::string&, const FaultSpec&) {}
-  void disarm(const std::string&) {}
-  void disarm_all() {}
-  [[nodiscard]] std::vector<std::string> armed() const { return {}; }
-};
-
-[[nodiscard]] inline FaultPoint& faultpoint(const std::string&) {
-  static FaultPoint p;
-  return p;
-}
-
-class ScopedFaults {
- public:
-  ScopedFaults() = default;
-  ScopedFaults(std::initializer_list<std::pair<const char*, FaultSpec>>) {}
-  void arm(const std::string&, const FaultSpec&) {}
-};
-
-}  // namespace instameasure::resilience
-
-#endif  // INSTAMEASURE_FAULTPOINTS_DISABLED

@@ -33,6 +33,7 @@ void spin_for_ns(double ns) {
 struct alignas(kCacheLine) WorkerTally {
   std::atomic<std::uint64_t> packets{0};  ///< processed so far
   std::atomic<int> pressure{0};           ///< shard's WsafPressureLevel
+  std::uint64_t busy_polls = 0;           ///< polls that popped a burst
   std::uint64_t idle_polls = 0;           ///< polls that found the queue empty
 };
 
@@ -254,6 +255,7 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
   stats.per_worker_dropped.assign(n, 0);
   stats.per_worker_steals.assign(n, 0);
   stats.max_queue_depth.assign(n, 0);
+  stats.mean_queue_depth.assign(n, 0);
   stats.worker_busy_fraction.assign(n, 0);
 
   // The publishers' counts are cumulative across runs: baseline them so
@@ -341,7 +343,8 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
         mine.packets.store(mine.packets.load(std::memory_order_relaxed) + count,
                            std::memory_order_relaxed);
         tel_worker_packets_[w].inc(count);
-        tel_busy_polls_[w].inc(count);
+        ++mine.busy_polls;
+        tel_busy_polls_[w].inc();
         if ((++bursts_seen & 63) == 0) {
           mine.pressure.store(static_cast<int>(engine.pressure().level),
                               std::memory_order_relaxed);
@@ -494,6 +497,12 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
   std::vector<std::uint64_t> shed_seq(n, 0);
   const auto clean_depth = static_cast<std::size_t>(
       static_cast<double>(config_.queue_capacity) * ov.clean_depth_fraction);
+  // Mean backlog: every queue's depth, sampled once per source pull. A
+  // pull per record or few while traffic keeps pace, one per 256 when the
+  // manager catches up after a stall, so bursts of arrivals do not
+  // outweigh the time between them.
+  std::uint64_t pulls = 0;
+  std::vector<std::uint64_t> depth_sum(n, 0);
 
   const auto dispatch = [&](const netio::PacketRecord& rec) {
     const unsigned w = worker_of(rec.key);
@@ -623,6 +632,8 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
         continue;
       }
       delivered += got;
+      ++pulls;
+      for (unsigned w = 0; w < n; ++w) depth_sum[w] += queues[w]->size_approx();
       tel_io_received_.inc(got);
       tel_io_bursts_.inc();
       if (config_.trace) {
@@ -691,12 +702,15 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
 
   for (unsigned w = 0; w < n; ++w) {
     const auto packets = tally[w].packets.load(std::memory_order_relaxed);
-    const auto polls = packets + tally[w].idle_polls;
+    const auto busy = tally[w].busy_polls;
+    const auto polls = busy + tally[w].idle_polls;
     stats.per_worker_packets[w] = packets;
     stats.processed += packets;
     stats.steals += stats.per_worker_steals[w];
     stats.worker_busy_fraction[w] =
-        polls ? static_cast<double>(packets) / static_cast<double>(polls)
+        polls ? static_cast<double>(busy) / static_cast<double>(polls) : 0.0;
+    stats.mean_queue_depth[w] =
+        pulls ? static_cast<double>(depth_sum[w]) / static_cast<double>(pulls)
               : 0.0;
   }
   stats.mpps = stats.wall_seconds > 0

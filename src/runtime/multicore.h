@@ -159,6 +159,9 @@ struct RunStats {
   std::vector<std::uint64_t> per_worker_dropped;   ///< dropped + shed per worker
   std::vector<std::uint64_t> per_worker_steals;    ///< steals FROM this home queue
   std::vector<std::size_t> max_queue_depth;
+  /// Queue depth sampled at every source pull, averaged: the backlog the
+  /// worker carried while traffic arrived.
+  std::vector<double> mean_queue_depth;
   std::vector<double> worker_busy_fraction;  ///< busy polls / total polls
   // The capture plane's accounting. `packets` above is the records the
   // source DELIVERED; a port may have seen more — io_kernel_dropped (ring

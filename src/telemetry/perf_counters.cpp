@@ -1,6 +1,6 @@
 #include "telemetry/perf_counters.h"
 
-#if !defined(INSTAMEASURE_PERF_DISABLED) && defined(__linux__)
+#if defined(__linux__)
 
 #include <linux/perf_event.h>
 #include <sys/ioctl.h>
@@ -241,4 +241,4 @@ PerfReading PerfStageProfiler::totals() const noexcept {
 
 }  // namespace instameasure::telemetry
 
-#endif  // !INSTAMEASURE_PERF_DISABLED && __linux__
+#endif  // __linux__

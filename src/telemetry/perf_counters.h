@@ -25,12 +25,10 @@
 // multi-core runtime would need one profiler per worker (not wired yet —
 // bench_trajectory and the tests drive single-threaded engines).
 //
-// Compile-out: -DINSTAMEASURE_ENABLE_PERF=OFF defines
-// INSTAMEASURE_PERF_DISABLED, which swaps every class below for an empty
-// stub with the identical API (kPerfEnabled lets callers `if constexpr`
-// the hooks away), exactly like the telemetry/faultpoint options. The
-// layer also stubs itself on non-Linux hosts, where the syscall does not
-// exist.
+// Non-Linux hosts, where the syscall does not exist, get empty stubs with
+// the identical API (kPerfEnabled is false there). On Linux the off switch
+// is at runtime: an engine without a profiler (EngineConfig::perf ==
+// nullptr) pays one pointer test per chunk.
 #pragma once
 
 #include <array>
@@ -165,7 +163,7 @@ struct PerfStageTotals {
 
 }  // namespace instameasure::telemetry
 
-#if !defined(INSTAMEASURE_PERF_DISABLED) && defined(__linux__)
+#if defined(__linux__)
 
 namespace instameasure::telemetry {
 
@@ -313,7 +311,7 @@ class PerfStageProfiler {
 
 }  // namespace instameasure::telemetry
 
-#else  // INSTAMEASURE_PERF_DISABLED or non-Linux: zero-cost stubs.
+#else  // non-Linux: zero-cost stubs.
 
 namespace instameasure::telemetry {
 
@@ -330,7 +328,7 @@ class PerfCounterGroup {
   [[nodiscard]] PerfReading read() const noexcept { return {}; }
 
  private:
-  std::string error_{"perf support compiled out"};
+  std::string error_{"perf_event_open unavailable on this platform"};
 };
 
 class PerfScope {
@@ -374,4 +372,4 @@ class PerfStageProfiler {
 
 }  // namespace instameasure::telemetry
 
-#endif  // INSTAMEASURE_PERF_DISABLED
+#endif  // __linux__

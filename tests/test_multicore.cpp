@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -177,6 +178,37 @@ TEST(MultiCore, DeterministicPerShardWsafAcrossRunsAndPaths) {
   }
 }
 
+// A busy poll is one non-empty pop, however many packets it carries. The
+// only worker wedges on its first burst while the producer fills a queue
+// that holds the whole trace, so every later pop takes a full burst of 64:
+// at most 1 + ceil(P/64) busy polls, where counting packets would give P.
+TEST(MultiCore, BusyPollsCountBurstsNotPackets) {
+  if constexpr (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
+  trace::Trace slice;
+  for (std::uint32_t i = 0; i < 20'000; ++i) {
+    netio::PacketRecord rec;
+    rec.timestamp_ns = i;
+    rec.key = netio::FlowKey{i * 2654435761u, ~i, 80, 443, 6};
+    rec.wire_len = 100;
+    slice.packets.push_back(rec);
+  }
+  resilience::ScopedFaults faults{
+      {"runtime.worker_stall",
+       {.probability = 1.0, .max_fires = 1, .param = 200e6}}};
+  auto config = small_config(1);
+  config.queue_capacity = std::bit_ceil(slice.packets.size() + 1);
+  MultiCoreEngine engine{config};
+  const auto stats = engine.run(slice);
+  ASSERT_EQ(stats.processed, slice.packets.size());
+  const auto& registry = engine.registry();
+  const double busy = registry.value("im_runtime_worker_busy_polls_total");
+  const double idle = registry.value("im_runtime_worker_idle_polls_total");
+  const double packets = static_cast<double>(slice.packets.size());
+  EXPECT_GE(busy, 1.0);
+  EXPECT_LE(busy, 1.0 + std::ceil(packets / 64.0));
+  EXPECT_DOUBLE_EQ(stats.worker_busy_fraction[0], busy / (busy + idle));
+}
+
 TEST(MultiCore, TelemetryPopulated) {
   const auto trace = test_trace();
   MultiCoreEngine engine{small_config(2)};
@@ -198,8 +230,8 @@ TEST(MultiCore, SecondRunReportsOnlyItsOwnCounts) {
   half.packets.assign(trace.packets.begin(),
                       trace.packets.begin() + trace.packets.size() / 2);
   // Drop-tail with no retries: every failed push is exactly one producer
-  // stall and one drop. The injected queue-full rate (where fault points
-  // are compiled in) guarantees both runs see some.
+  // stall and one drop. The injected queue-full rate guarantees both runs
+  // see some.
   resilience::ScopedFaults faults{
       {"runtime.queue_full", {.probability = 0.2, .seed = 11}}};
   auto config = small_config(2);
@@ -218,10 +250,8 @@ TEST(MultiCore, SecondRunReportsOnlyItsOwnCounts) {
   EXPECT_EQ(first.processed + first.dropped, trace.packets.size());
   EXPECT_EQ(second.packets, half.packets.size());
   EXPECT_EQ(second.processed + second.dropped, half.packets.size());
-  if (resilience::kFaultPointsEnabled) {
-    EXPECT_GT(first.dropped, 0u);
-    EXPECT_GT(second.dropped, 0u);
-  }
+  EXPECT_GT(first.dropped, 0u);
+  EXPECT_GT(second.dropped, 0u);
 }
 
 }  // namespace

@@ -335,7 +335,6 @@ class TempPcap {
 // The shed ladder's compensation weights ride on by-value queue items, so
 // kShed works for a source whose burst buffer is reused on every pull.
 TEST(RunSource, ShedThroughPcapSourceKeepsExactAccounting) {
-  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
   const auto records = make_records(20'000);
   const TempPcap pcap{"shed", records};
   resilience::ScopedFaults faults{
@@ -377,7 +376,6 @@ TEST(RunSource, SourceErrorStopsWorkersAndPropagates) {
 // a worker wedged for 100 ms on its first burst of a pcap feed while its
 // queue holds work must be reported.
 TEST(RunSource, WatchdogReportsWedgedWorker) {
-  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
   const auto records = make_records(20'000);
   const TempPcap pcap{"watchdog", records};
   resilience::ScopedFaults faults{

@@ -54,7 +54,6 @@ TEST(FaultPoint, UnarmedNeverFires) {
 }
 
 TEST(FaultPoint, DeterministicAcrossReArms) {
-  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
   auto& fp = resilience::faultpoint("test.determinism");
   const FaultSpec spec{.probability = 0.3, .seed = 0xabcdef};
   const auto pattern = [&] {
@@ -72,7 +71,6 @@ TEST(FaultPoint, DeterministicAcrossReArms) {
 }
 
 TEST(FaultPoint, SkipFirstAndMaxFiresBudget) {
-  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
   auto& fp = resilience::faultpoint("test.budget");
   FaultRegistry::instance().arm(
       "test.budget",
@@ -87,7 +85,6 @@ TEST(FaultPoint, SkipFirstAndMaxFiresBudget) {
 }
 
 TEST(FaultPoint, ArmResetsTalliesAndDisarmStops) {
-  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
   auto& fp = resilience::faultpoint("test.rearm");
   FaultRegistry::instance().arm("test.rearm", {.probability = 1.0});
   EXPECT_TRUE(fp.fire());
@@ -99,7 +96,6 @@ TEST(FaultPoint, ArmResetsTalliesAndDisarmStops) {
 }
 
 TEST(FaultPoint, ScopedFaultsDisarmOnExit) {
-  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
   auto& fp = resilience::faultpoint("test.scoped");
   {
     ScopedFaults faults{{"test.scoped", {.probability = 1.0, .param = 7.0}}};
@@ -145,7 +141,6 @@ TEST(Channel, ReorderKnobAddsExtraDelay) {
 }
 
 TEST(Channel, ReorderFaultInvertsDeliveryOrder) {
-  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
   delegation::ChannelConfig config;
   config.delay_ms = 10.0;
   delegation::SimulatedChannel<int> channel{config};
@@ -178,7 +173,6 @@ TEST(Channel, HeapDeliveryOrderStableForTies) {
 }
 
 TEST(Channel, FaultPointsDropAndDuplicate) {
-  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
   delegation::ChannelConfig config;
   config.delay_ms = 1.0;
   delegation::SimulatedChannel<int> channel{config};
@@ -218,7 +212,6 @@ TEST(ReliableLink, AckClearsPendingWithoutRetransmit) {
 }
 
 TEST(ReliableLink, RetransmitRecoversInjectedLoss) {
-  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
   delegation::ReliableConfig rc;
   rc.rto_ms = 50.0;
   delegation::ChannelConfig data;
@@ -240,7 +233,6 @@ TEST(ReliableLink, RetransmitRecoversInjectedLoss) {
 }
 
 TEST(ReliableLink, ZeroRetransmitBudgetIsLossyBaseline) {
-  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
   delegation::ReliableConfig rc;
   rc.max_retransmits = 0;
   delegation::ChannelConfig data;
@@ -262,7 +254,6 @@ TEST(ReliableLink, ZeroRetransmitBudgetIsLossyBaseline) {
 }
 
 TEST(ReliableLink, DuplicateDeliveriesDeduplicated) {
-  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
   delegation::ReliableConfig rc;
   delegation::ChannelConfig data;
   delegation::ReliableLink<int> link{rc, data};
@@ -460,7 +451,6 @@ trace::Trace chaos_trace() {
 }
 
 TEST(OverloadChaos, AccountingInvariantHoldsForAllPoliciesAndSeeds) {
-  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
   const auto trace = chaos_trace();
   const std::uint64_t offered = trace.packets.size();
   for (const std::uint64_t seed : chaos_seeds()) {
@@ -543,7 +533,6 @@ TEST(OverloadChaos, ShedPolicyIdleMatchesBlockBitExactly) {
 }
 
 TEST(OverloadChaos, ShedAtQuarterKeepsHeavyHittersWithinTenPercent) {
-  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
   // Zipf trace; baseline = lossless kBlock. Chaos run: 25% of push attempts
   // hit an injected queue-full, the ladder engages, a large fraction of the
   // offered load is shed with weight compensation. The top-10 byte flows
@@ -594,25 +583,30 @@ TEST(OverloadChaos, ShedAtQuarterKeepsHeavyHittersWithinTenPercent) {
 }
 
 TEST(OverloadPaced, ShedBoundsBacklogWhereBlockFallsBehind) {
-  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
-  // One worker slowed to well below the offered rate by an injected
-  // per-burst stall. kBlock must absorb the excess as producer stalls and
-  // a stretched wall clock; kShed must climb the ladder and keep up.
+  // One worker slowed to a quarter of the offered rate by an injected
+  // 1 ms stall per burst. kBlock must fall behind: its ring stays full.
+  // kShed must climb the ladder until admissions fit the worker, and its
+  // ring drains. The runs are compared on backlog (mean queue depth), not
+  // on producer stalls or wall time: those count how long yield() sleeps,
+  // which a loaded host stretches. The ring drains in 16 ms at the
+  // worker's rate, so a manager descheduled for a few milliseconds does
+  // not empty kBlock's.
   trace::Trace slice;
   slice.name = "paced-overload";
-  for (std::uint32_t i = 0; i < 40'000; ++i) {
+  for (std::uint32_t i = 0; i < 51'200; ++i) {
     netio::PacketRecord rec;
     rec.timestamp_ns = i;
     rec.key = netio::FlowKey{i * 2654435761u, ~i, 80, 443, 6};
     rec.wire_len = 100;
     slice.packets.push_back(rec);
   }
-  const double pace = 400'000;  // 100ms of offered traffic
+  const double pace = 256'000;  // 200ms of offered traffic; worker ~64k pps
+  constexpr std::size_t kCapacity = 1 << 10;
   const auto run_policy = [&](runtime::OverloadPolicy policy) {
     ScopedFaults faults{{"runtime.worker_stall",
-                         {.probability = 1.0, .param = 500'000.0}}};
+                         {.probability = 1.0, .param = 1'000'000.0}}};
     auto config = small_config(1);
-    config.queue_capacity = 1 << 9;
+    config.queue_capacity = kCapacity;
     config.overload.policy = policy;
     config.overload.full_queue_retries = 4;
     config.overload.escalate_after_stalls = 16;
@@ -629,16 +623,14 @@ TEST(OverloadPaced, ShedBoundsBacklogWhereBlockFallsBehind) {
   // Sanity on both: exact accounting.
   EXPECT_EQ(block.processed, slice.packets.size());
   EXPECT_EQ(shed.processed + shed.shed, slice.packets.size());
-  // kBlock fell behind: the producer was stalled against the full ring.
+  // kBlock fell behind: the producer waited against a full ring.
   EXPECT_GT(block.producer_stalls, 0u);
-  EXPECT_GE(block.max_queue_depth[0], std::size_t{1} << 8)
-      << "the blocked ring should have filled at least halfway";
-  // kShed engaged the ladder, shed load, and finished sooner with fewer
-  // producer stalls — the graceful-degradation contract.
+  EXPECT_EQ(block.max_queue_depth[0], kCapacity);
+  // kShed engaged the ladder, shed load, and carried less backlog than
+  // kBlock — the graceful-degradation contract.
   EXPECT_GT(shed.shed, 0u);
   EXPECT_GE(shed.shed_level_peak, 1u);
-  EXPECT_LT(shed.producer_stalls, block.producer_stalls);
-  EXPECT_LT(shed.wall_seconds, block.wall_seconds);
+  EXPECT_LT(shed.mean_queue_depth[0], block.mean_queue_depth[0]);
 }
 
 // ---------- Resize + shared-table chaos ----------
@@ -667,7 +659,6 @@ void shrink_regulator(runtime::MultiCoreConfig& config) {
 }
 
 TEST(ResizeChaos, AccountingExactWhileTablesGrowUnderShed) {
-  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
   const auto trace = resize_chaos_trace();
   const std::uint64_t offered = trace.packets.size();
   for (const std::uint64_t seed : chaos_seeds()) {
@@ -705,7 +696,6 @@ TEST(ResizeChaos, AccountingExactWhileTablesGrowUnderShed) {
 // retrying and aborting, the tables never change size, and the run still
 // completes with exact accounting (rollback leaves the table serving).
 TEST(ResizeChaos, AllocationFailureRollsBackAndTheRunCompletes) {
-  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
   const auto trace = resize_chaos_trace();
   ScopedFaults faults{{"wsaf.resize.alloc_fail", {.probability = 1.0}}};
   auto config = small_config(2);
@@ -729,7 +719,6 @@ TEST(ResizeChaos, AllocationFailureRollsBackAndTheRunCompletes) {
 // home queue stays full are stolen to other workers instead of shed, and
 // the steal counters reconcile exactly with the accounting invariant.
 TEST(SharedTableChaos, StealingPreservesExactAccounting) {
-  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
   const auto trace = chaos_trace();
   const std::uint64_t offered = trace.packets.size();
   for (const std::uint64_t seed : chaos_seeds()) {
@@ -759,7 +748,6 @@ TEST(SharedTableChaos, StealingPreservesExactAccounting) {
 // stolen: the hardest interleaving this PR ships. Accounting stays exact
 // and the shared table ends with every processed flow visible once.
 TEST(SharedTableChaos, ResizeUnderStealingStaysConsistent) {
-  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
   const auto trace = resize_chaos_trace();
   const std::uint64_t offered = trace.packets.size();
   for (const std::uint64_t seed : chaos_seeds()) {
@@ -802,7 +790,6 @@ TEST(SharedTableChaos, ResizeUnderStealingStaysConsistent) {
 // ---------- Watchdog ----------
 
 TEST(Watchdog, ReportsWedgedWorker) {
-  if (!resilience::kFaultPointsEnabled) GTEST_SKIP();
   // The first burst wedges the (only) worker for 100ms while the producer
   // keeps the queue non-empty; a 5ms-heartbeat watchdog must report the
   // stall well before it clears.

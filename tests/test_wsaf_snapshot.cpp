@@ -329,115 +329,60 @@ TEST_F(WsafSnapshotTest, OccupancyCountsRestoredRecordsNotHeaderClaim) {
   EXPECT_EQ(restored.occupancy(), claimed);
 }
 
-// --- Legacy (v1) compatibility ---------------------------------------------
-// v1 snapshots ("IMWSAF01") predate the layout field: a 40-byte header
-// (magic @0, log2_entries u32 @8, probe_limit u32 @12, idle_timeout u64
-// @16, seed u64 @24, occupied u64 @32) followed by the same 64-byte
-// records. They must keep loading — always as kScalarProbe, with v1's
-// lenient record checks. The synthesizer below pins that byte layout
-// independently of any writer still existing in the codebase.
+// --- Legacy (v1) rejection --------------------------------------------------
+// v1 snapshots ("IMWSAF01") predate the layout field and the per-record
+// checks: a 40-byte header (magic @0, log2_entries u32 @8, probe_limit u32
+// @12, idle_timeout u64 @16, seed u64 @24, occupied u64 @32) followed by
+// 64-byte records. load() rejects them by name at the magic.
 
-void put_bytes(std::vector<char>& buf, std::size_t offset, const void* src,
-               std::size_t n) {
-  std::memcpy(buf.data() + offset, src, n);
-}
-
-template <typename T>
-void put(std::vector<char>& buf, std::size_t offset, T value) {
-  put_bytes(buf, offset, &value, sizeof value);
-}
-
-std::vector<char> v1_snapshot_bytes(std::uint64_t seed,
-                                    const std::vector<netio::FlowKey>& keys,
-                                    unsigned log2_entries,
-                                    unsigned probe_limit) {
-  const std::uint64_t mask = (std::uint64_t{1} << log2_entries) - 1;
-  std::vector<char> buf(40 + 64 * keys.size(), 0);
-  put_bytes(buf, 0, "IMWSAF01", 8);
-  put<std::uint32_t>(buf, 8, log2_entries);
-  put<std::uint32_t>(buf, 12, probe_limit);
-  put<std::uint64_t>(buf, 16, 0);  // idle_timeout_ns
-  put<std::uint64_t>(buf, 24, seed);
-  put<std::uint64_t>(buf, 32, keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto& key = keys[i];
-    const auto hash = key.hash(seed);
-    const auto base = 40 + 64 * i;
-    put<std::uint64_t>(buf, base + 0, hash & mask);  // home slot
-    put<std::uint32_t>(buf, base + 8, key.src_ip);
-    put<std::uint32_t>(buf, base + 12, key.dst_ip);
-    put<std::uint16_t>(buf, base + 16, key.src_port);
-    put<std::uint16_t>(buf, base + 18, key.dst_port);
-    put<std::uint8_t>(buf, base + 20, key.proto);
-    put<std::uint8_t>(buf, base + 21, 0);  // referenced
-    put<std::uint32_t>(buf, base + 24, key.id32(seed));
-    put<double>(buf, base + 32, static_cast<double>(i + 1));      // packets
-    put<double>(buf, base + 40, static_cast<double>(i + 1) * 64); // bytes
-    put<std::uint64_t>(buf, base + 48, 100 * (i + 1));  // first_seen
-    put<std::uint64_t>(buf, base + 56, 200 * (i + 1));  // last_update
-  }
+// A v1 header for a 2^6-slot, probe-8 table claiming `occupied` records,
+// followed by `record_bytes` zero bytes of record body.
+std::vector<char> v1_snapshot_bytes(std::uint64_t occupied,
+                                    std::size_t record_bytes) {
+  std::vector<char> buf(40 + record_bytes, 0);
+  std::memcpy(buf.data(), "IMWSAF01", 8);
+  const std::uint32_t log2_entries = 6, probe_limit = 8;
+  std::memcpy(buf.data() + 8, &log2_entries, sizeof log2_entries);
+  std::memcpy(buf.data() + 12, &probe_limit, sizeof probe_limit);
+  std::memcpy(buf.data() + 24, &kSeed, sizeof kSeed);
+  std::memcpy(buf.data() + 32, &occupied, sizeof occupied);
   return buf;
 }
 
-TEST_F(WsafSnapshotTest, LegacyV1SnapshotLoadsAsScalarProbe) {
-  const std::uint64_t seed = 0x1234;
-  std::vector<netio::FlowKey> keys;
-  const std::uint64_t mask = (1u << 6) - 1;
-  // Pick keys with distinct home slots so every record lands cleanly.
-  std::vector<bool> taken(64, false);
-  for (std::uint32_t n = 0; keys.size() < 3 && n < 1'000; ++n) {
-    const auto key = key_n(n);
-    const auto home = key.hash(seed) & mask;
-    if (!taken[home]) {
-      taken[home] = true;
-      keys.push_back(key);
-    }
-  }
-  ASSERT_EQ(keys.size(), 3u);
-  const auto bytes = v1_snapshot_bytes(seed, keys, 6, 8);
+void expect_rejected_as_v1(const std::string& path,
+                           const std::vector<char>& bytes) {
   {
-    std::ofstream out{path_, std::ios::binary};
+    std::ofstream out{path, std::ios::binary | std::ios::trunc};
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-
-  const auto restored = WsafTable::load(path_);
-  EXPECT_EQ(restored.config().layout, WsafLayout::kScalarProbe);
-  EXPECT_EQ(restored.policy_version(), 1u);
-  EXPECT_EQ(restored.config().seed, seed);
-  EXPECT_EQ(restored.occupancy(), 3u);
-  EXPECT_EQ(restored.latest_ns(), 600u);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto e = restored.lookup(keys[i], keys[i].hash(seed));
-    ASSERT_TRUE(e.has_value()) << "flow " << i;
-    EXPECT_DOUBLE_EQ(e->packets, static_cast<double>(i + 1));
-    EXPECT_EQ(e->first_seen_ns, 100 * (i + 1));
+  try {
+    (void)WsafTable::load(path);
+    ADD_FAILURE() << "a v1 snapshot loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("IMWSAF01"), std::string::npos)
+        << e.what();
   }
 }
 
-TEST_F(WsafSnapshotTest, SaveAlwaysWritesV2) {
-  // A v1 snapshot re-saved by this version must come out as v2 (the
-  // migration path for legacy archives).
-  const auto bytes = v1_snapshot_bytes(0x1234, {key_n(1)}, 6, 8);
-  {
-    std::ofstream out{path_, std::ios::binary};
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  const auto restored = WsafTable::load(path_);
-  restored.save(path_);
-  char magic[9] = {};
-  std::ifstream{path_, std::ios::binary}.read(magic, 8);
-  EXPECT_STREQ(magic, "IMWSAF02");
-  EXPECT_EQ(WsafTable::load(path_).occupancy(), 1u);
+TEST_F(WsafSnapshotTest, LegacyV1SnapshotRejectedByName) {
+  // An empty but well-formed v1 table — one the old reader restored.
+  expect_rejected_as_v1(path_, v1_snapshot_bytes(0, 0));
 }
 
 TEST_F(WsafSnapshotTest, LegacyV1TruncatedThrows) {
-  auto bytes = v1_snapshot_bytes(0x1234, {key_n(1), key_n(2)}, 6, 8);
-  bytes.resize(bytes.size() - 10);
-  {
-    std::ofstream out{path_, std::ios::binary};
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  // Two records claimed, the second cut 10 bytes short.
+  expect_rejected_as_v1(path_, v1_snapshot_bytes(2, 2 * 64 - 10));
+}
+
+TEST_F(WsafSnapshotTest, SaveAlwaysWritesV2) {
+  for (const auto layout : {WsafLayout::kScalarProbe, WsafLayout::kBucketed}) {
+    const auto table = populated_table(layout);
+    table.save(path_);
+    char magic[9] = {};
+    std::ifstream{path_, std::ios::binary}.read(magic, 8);
+    EXPECT_STREQ(magic, "IMWSAF02");
+    EXPECT_EQ(WsafTable::load(path_).occupancy(), table.occupancy());
   }
-  EXPECT_THROW((void)WsafTable::load(path_), std::runtime_error);
 }
 
 }  // namespace

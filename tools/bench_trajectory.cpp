@@ -99,11 +99,11 @@ analysis::TrajectoryRun run_cell(const Options& opt,
 
   auto config = engine_config(opt);
   if (batch != 0) config.perf = &profiler;
-  // Audit rides every cell (when compiled in): the accuracy block must
-  // describe the same run the Mpps number came from, and a uniform <3%
-  // cost keeps the cells mutually comparable. The 1/256 default slice
-  // holds the shadow map to a few hundred flows even at 2^23.
-  config.enable_audit = audit::kEnabled;
+  // Audit rides every cell: the accuracy block must describe the same
+  // run the Mpps number came from, and a uniform <3% cost keeps the cells
+  // mutually comparable. The 1/256 default slice holds the shadow map to
+  // a few hundred flows even at 2^23.
+  config.enable_audit = true;
   core::InstaMeasure engine{config};
 
   const std::size_t mask = pool.size() - 1;
