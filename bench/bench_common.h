@@ -41,10 +41,8 @@ inline void shape_check(bool ok, const std::string& what) {
 
 /// Append the registry's final state as one JSON line, fenced so log
 /// scrapers (and EXPERIMENTS.md tooling) can lift the machine-readable
-/// record out of the human-readable table above it. No-op when telemetry
-/// is compiled out (the stub snapshot is empty).
+/// record out of the human-readable table above it.
 inline void print_metrics_json(const telemetry::Registry& registry) {
-  if (!telemetry::kEnabled) return;
   std::printf("METRICS-JSON %s\n",
               telemetry::to_json(registry.snapshot()).c_str());
 }

@@ -139,20 +139,18 @@ int main(int argc, char** argv) {
 
   // Final snapshot + excerpt of what a scraper sees.
   reporter.stop();
-  if (telemetry::kEnabled) {
-    std::printf("\nmetrics: %llu snapshots written to %s; excerpt:\n",
-                static_cast<unsigned long long>(reporter.snapshots_written()),
-                metrics_path.c_str());
-    const auto text = telemetry::to_prometheus(engine.registry().snapshot());
-    std::size_t printed = 0, pos = 0;
-    while (pos < text.size() && printed < 12) {
-      const auto nl = text.find('\n', pos);
-      const auto line = text.substr(pos, nl - pos);
-      pos = nl == std::string::npos ? text.size() : nl + 1;
-      if (line.starts_with("im_runtime_") || line.starts_with("im_wsaf_")) {
-        std::printf("    %s\n", line.c_str());
-        ++printed;
-      }
+  std::printf("\nmetrics: %llu snapshots written to %s; excerpt:\n",
+              static_cast<unsigned long long>(reporter.snapshots_written()),
+              metrics_path.c_str());
+  const auto text = telemetry::to_prometheus(engine.registry().snapshot());
+  std::size_t printed = 0, pos = 0;
+  while (pos < text.size() && printed < 12) {
+    const auto nl = text.find('\n', pos);
+    const auto line = text.substr(pos, nl - pos);
+    pos = nl == std::string::npos ? text.size() : nl + 1;
+    if (line.starts_with("im_runtime_") || line.starts_with("im_wsaf_")) {
+      std::printf("    %s\n", line.c_str());
+      ++printed;
     }
   }
   return 0;

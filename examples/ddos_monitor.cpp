@@ -383,16 +383,10 @@ int main(int argc, char** argv) {
     std::printf("\nflight recorder: %llu events (%llu dropped)\n",
                 static_cast<unsigned long long>(collector->events().size()),
                 static_cast<unsigned long long>(collector->dropped()));
-    if constexpr (!telemetry::kEnabled) {
-      std::printf("(telemetry compiled out: rebuild with "
-                  "-DINSTAMEASURE_ENABLE_TELEMETRY=ON to record traces)\n");
-    }
     const auto report = analysis::attribute_stages(
         std::span{collector->events()});
     std::fputs(analysis::format_stage_report(report).c_str(), stdout);
     if (!trace_out.empty()) {
-      // to_chrome_json works in both build flavors (the compiled-out
-      // collector just renders an empty-but-valid trace).
       const auto json = telemetry::to_chrome_json(
           std::span{collector->events()});
       if (std::FILE* f = std::fopen(trace_out.c_str(), "wb")) {

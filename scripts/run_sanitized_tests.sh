@@ -13,10 +13,12 @@
 # shakes it out.
 #
 # Three phases, because TSan cannot be combined with ASan:
-#   1. address,undefined over the full concurrency filter (now including
-#      the WSAF layout/bucket/snapshot differential suites, whose SIMD
-#      tag-compare and byte-patching code is exactly what UBSan/ASan are
-#      for);
+#   1. address,undefined,float-cast-overflow over the full concurrency
+#      filter (now including the WSAF layout/bucket/snapshot differential
+#      suites, whose SIMD tag-compare and byte-patching code is exactly
+#      what UBSan/ASan are for). GCC's -fsanitize=undefined leaves out
+#      float-cast-overflow (a double outside an integer type's range cast
+#      to it), so it is named explicitly;
 #   2. thread over the MultiCore + SPSC suites, repeated 3x so the
 #      determinism test (same trace => bit-identical per-shard WSAF) gets
 #      multiple thread schedules to betray a race under;
@@ -54,7 +56,8 @@ if [[ -n "${SANITIZE:-}" ]]; then
   exit 0
 fi
 
-run_phase address,undefined "${BUILD:-build-sanitize}" "$FILTER" 1
+run_phase address,undefined,float-cast-overflow "${BUILD:-build-sanitize}" \
+  "$FILTER" 1
 run_phase thread "${BUILD_TSAN:-build-tsan}" "$TSAN_FILTER" 3
 IM_WSAF_LAYOUT=bucketed run_phase thread "${BUILD_TSAN:-build-tsan}" \
   "$TSAN_FILTER" 3

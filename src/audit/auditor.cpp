@@ -193,13 +193,11 @@ void Auditor::classify(const FlowAudit& flow, const Estimate& est,
     tel_overcount_.inc();
     aux_cause = kCauseCount + 1;  // overcount marker, past the cause codes
   }
-  if constexpr (telemetry::kEnabled) {
-    if (trace_) {
-      trace_->emit(trace_track_, telemetry::TraceEventKind::kAudit,
-                   flow.key.hash(config_.sample_seed), rel_err,
-                   aux_cause |
-                       (static_cast<std::uint32_t>(pressure_level) << 8));
-    }
+  if (trace_) {
+    trace_->emit(trace_track_, telemetry::TraceEventKind::kAudit,
+                 flow.key.hash(config_.sample_seed), rel_err,
+                 aux_cause |
+                     (static_cast<std::uint32_t>(pressure_level) << 8));
   }
   (void)now_ns;
 }
@@ -278,17 +276,15 @@ void Auditor::final_sweep(
     } else if (rel_err > config_.error_tolerance) {
       ++over;
     }
-    if constexpr (telemetry::kEnabled) {
-      if (trace_) {
-        std::uint32_t aux_cause = 0;
-        if (rel_err < -config_.error_tolerance) {
-          aux_cause = static_cast<std::uint32_t>(cause_of(flow, est)) + 1;
-        } else if (rel_err > config_.error_tolerance) {
-          aux_cause = kCauseCount + 1;
-        }
-        trace_->emit(trace_track_, telemetry::TraceEventKind::kAudit, hash,
-                     rel_err, aux_cause);
+    if (trace_) {
+      std::uint32_t aux_cause = 0;
+      if (rel_err < -config_.error_tolerance) {
+        aux_cause = static_cast<std::uint32_t>(cause_of(flow, est)) + 1;
+      } else if (rel_err > config_.error_tolerance) {
+        aux_cause = kCauseCount + 1;
       }
+      trace_->emit(trace_track_, telemetry::TraceEventKind::kAudit, hash,
+                   rel_err, aux_cause);
     }
   }
   (void)pressure;

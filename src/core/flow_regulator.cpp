@@ -11,13 +11,13 @@ FlowRegulator::FlowRegulator(const FlowRegulatorConfig& config)
       trace_track_(config.trace_track) {
   if (config.registry != nullptr) {
     auto& reg = *config.registry;
-    tel_packets_ = reg.counter("im_regulator_packets_total",
-                               "Packets offered to the FlowRegulator",
-                               config.labels);
-    tel_l1_saturations_ =
+    packets_ = reg.counter("im_regulator_packets_total",
+                           "Packets offered to the FlowRegulator",
+                           config.labels);
+    l1_saturations_ =
         reg.counter("im_regulator_l1_saturations_total",
                     "Layer-1 virtual-vector saturations", config.labels);
-    tel_l2_saturations_ = reg.counter(
+    l2_saturations_ = reg.counter(
         "im_regulator_l2_saturations_total",
         "Layer-2 saturations (events forwarded to the WSAF)", config.labels);
   }
@@ -36,26 +36,21 @@ FlowRegulator::FlowRegulator(const FlowRegulatorConfig& config)
 std::optional<SaturationEvent> FlowRegulator::offer(
     std::uint64_t flow_hash, std::uint16_t wire_len,
     const sketch::VvLayout& layout) noexcept {
-  ++packets_;
-  tel_packets_.inc();
+  packets_.inc();
   last_len_[layout.word_index] = wire_len;
 
   const auto l1_noise = l1_.encode(layout);
   if (!l1_noise) return std::nullopt;
-  ++l1_saturations_;
-  tel_l1_saturations_.inc();
-  if constexpr (telemetry::kEnabled) {
-    if (trace_) {
-      trace_->emit(trace_track_, telemetry::TraceEventKind::kL1Saturation,
-                   flow_hash, static_cast<double>(*l1_noise));
-    }
+  l1_saturations_.inc();
+  if (trace_) {
+    trace_->emit(trace_track_, telemetry::TraceEventKind::kL1Saturation,
+                 flow_hash, static_cast<double>(*l1_noise));
   }
 
   auto& bank = l2_[*l1_noise - noise_min_];
   const auto l2_noise = bank.encode(layout);
   if (!l2_noise) return std::nullopt;
-  ++l2_saturations_;
-  tel_l2_saturations_.inc();
+  l2_saturations_.inc();
 
   SaturationEvent event;
   // unit(u): packets per L1 saturation; unit(w): L1 saturations per L2
@@ -63,11 +58,9 @@ std::optional<SaturationEvent> FlowRegulator::offer(
   event.est_packets = l1_.unit(*l1_noise) * bank.unit(*l2_noise);
   event.est_bytes = event.est_packets * static_cast<double>(wire_len);
   emitted_packet_estimate_ += event.est_packets;
-  if constexpr (telemetry::kEnabled) {
-    if (trace_) {
-      trace_->emit(trace_track_, telemetry::TraceEventKind::kL2Saturation,
-                   flow_hash, event.est_packets, *l2_noise);
-    }
+  if (trace_) {
+    trace_->emit(trace_track_, telemetry::TraceEventKind::kL2Saturation,
+                 flow_hash, event.est_packets, *l2_noise);
   }
   return event;
 }
@@ -91,18 +84,18 @@ double FlowRegulator::residual_bytes(std::uint64_t flow_hash) const noexcept {
 }
 
 double FlowRegulator::mean_packets_per_event() const noexcept {
-  return l2_saturations_
-             ? emitted_packet_estimate_ / static_cast<double>(l2_saturations_)
-             : 0.0;
+  const auto events = l2_saturations();
+  return events ? emitted_packet_estimate_ / static_cast<double>(events)
+                : 0.0;
 }
 
 void FlowRegulator::reset() noexcept {
   l1_.reset();
   for (auto& bank : l2_) bank.reset();
   std::fill(last_len_.begin(), last_len_.end(), 0);
-  packets_ = 0;
-  l1_saturations_ = 0;
-  l2_saturations_ = 0;
+  packets_base_ = packets_.value();
+  l1_base_ = l1_saturations_.value();
+  l2_base_ = l2_saturations_.value();
   emitted_packet_estimate_ = 0;
 }
 

@@ -106,19 +106,21 @@ class FlowRegulator {
   /// at the flow's L1 word (a per-word sample, not per-flow state).
   [[nodiscard]] double residual_bytes(std::uint64_t flow_hash) const noexcept;
 
-  // Rate statistics (Figs 1, 7).
-  [[nodiscard]] std::uint64_t packets() const noexcept { return packets_; }
+  // Rate statistics (Figs 1, 7), counted since the last reset().
+  [[nodiscard]] std::uint64_t packets() const noexcept {
+    return packets_.value() - packets_base_;
+  }
   [[nodiscard]] std::uint64_t l1_saturations() const noexcept {
-    return l1_saturations_;
+    return l1_saturations_.value() - l1_base_;
   }
   [[nodiscard]] std::uint64_t l2_saturations() const noexcept {
-    return l2_saturations_;
+    return l2_saturations_.value() - l2_base_;
   }
   /// WSAF insertions per input packet — the paper's regulation rate.
   [[nodiscard]] double regulation_rate() const noexcept {
-    return packets_ ? static_cast<double>(l2_saturations_) /
-                          static_cast<double>(packets_)
-                    : 0.0;
+    const auto n = packets();
+    return n ? static_cast<double>(l2_saturations()) / static_cast<double>(n)
+             : 0.0;
   }
   /// Mean packets represented by one WSAF insertion (retention capacity as
   /// measured end-to-end; Fig 8a).
@@ -142,16 +144,16 @@ class FlowRegulator {
   /// Last wire length seen per L1 word: the byte-sampling state for the
   /// residual flush (the event path samples the triggering packet directly).
   std::vector<std::uint16_t> last_len_;
-  std::uint64_t packets_ = 0;
-  std::uint64_t l1_saturations_ = 0;
-  std::uint64_t l2_saturations_ = 0;
+  // Each count is counted once, in its exported counter (a single-writer
+  // cell; see telemetry/metrics.h). reset() moves the accessors' baseline
+  // instead of rewinding the cell, so the exported series stay monotone.
+  telemetry::Counter packets_;
+  telemetry::Counter l1_saturations_;
+  telemetry::Counter l2_saturations_;
+  std::uint64_t packets_base_ = 0;
+  std::uint64_t l1_base_ = 0;
+  std::uint64_t l2_base_ = 0;
   double emitted_packet_estimate_ = 0;
-  // Telemetry mirrors of the counters above (single-writer cells; see
-  // telemetry/metrics.h). The plain members stay authoritative so the
-  // algorithm is unchanged when telemetry is compiled out.
-  telemetry::Counter tel_packets_;
-  telemetry::Counter tel_l1_saturations_;
-  telemetry::Counter tel_l2_saturations_;
   telemetry::TraceRecorder* trace_ = nullptr;
   unsigned trace_track_ = 0;
 };

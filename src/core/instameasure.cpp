@@ -21,6 +21,14 @@ using SteadyClock = std::chrono::steady_clock;
       std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
 
+/// Multiples of 2^shift in [first, first + n): ceil((first + n) / 2^shift)
+/// minus ceil(first / 2^shift).
+[[nodiscard]] std::uint64_t multiples_in(std::uint64_t first, std::size_t n,
+                                         unsigned shift) noexcept {
+  const std::uint64_t round_up = (std::uint64_t{1} << shift) - 1;
+  return ((first + n + round_up) >> shift) - ((first + round_up) >> shift);
+}
+
 /// Push the engine's registry/labels (and flight recorder) down into the
 /// sub-structure configs so one assignment at the top instruments the
 /// whole stack.
@@ -110,9 +118,12 @@ InstaMeasure::InstaMeasure(const EngineConfig& config)
     }
     publisher_ = std::make_unique<ViewPublisher>(pub);
   }
-  sample_mask_ = config_.telemetry_sample_shift >= 64
-                     ? ~std::uint64_t{0}
-                     : (std::uint64_t{1} << config_.telemetry_sample_shift) - 1;
+  // Only a registry can read the timing histograms, so without one the
+  // engine reads no clock; a shift of 64 or more samples nothing.
+  timed_ = config_.registry != nullptr && config_.telemetry_sample_shift < 64;
+  if (timed_) {
+    sample_mask_ = (std::uint64_t{1} << config_.telemetry_sample_shift) - 1;
+  }
   if (config_.registry != nullptr) {
     auto& reg = *config_.registry;
     tel_detections_ =
@@ -132,7 +143,9 @@ InstaMeasure::InstaMeasure(const EngineConfig& config)
         config_.labels);
     tel_event_accumulate_ns_ = reg.histogram(
         "im_engine_event_accumulate_ns",
-        "Saturation-event-to-WSAF-insert wall time", config_.labels);
+        "Saturation-event-to-WSAF-insert wall time, for the events of "
+        "packets sampled as in im_engine_process_ns",
+        config_.labels);
     tel_detection_latency_ns_ = reg.histogram(
         "im_engine_detection_latency_ns",
         "Trace time from a flow's WSAF first-seen to its detection",
@@ -141,41 +154,17 @@ InstaMeasure::InstaMeasure(const EngineConfig& config)
 }
 
 void InstaMeasure::process(const netio::PacketRecord& rec) {
-  const std::uint64_t seq = pkt_seq_++;
-  const bool sampled = telemetry::kEnabled && (seq & sample_mask_) == 0;
+  const bool timed = sampled(pkt_seq_++);
   SteadyClock::time_point t0;
-  if (sampled) t0 = SteadyClock::now();
+  if (timed) t0 = SteadyClock::now();
 
   const std::uint64_t flow_hash = rec.key.hash(config_.seed);
-  if constexpr (telemetry::kEnabled) {
-    if (trace_) {
-      trace_->emit(trace_track_, telemetry::TraceEventKind::kPacket,
-                   flow_hash, static_cast<double>(rec.wire_len));
-    }
+  if (trace_) {
+    trace_->emit(trace_track_, telemetry::TraceEventKind::kPacket,
+                 flow_hash, static_cast<double>(rec.wire_len));
   }
-  const auto event = regulator_.offer(flow_hash, rec.wire_len);
-  if (event) {
-    SteadyClock::time_point e0;
-    if constexpr (telemetry::kEnabled) e0 = SteadyClock::now();
-    const auto totals = wsaf_accumulate(rec.key, flow_hash,
-                                        event->est_packets, event->est_bytes,
-                                        rec.timestamp_ns);
-    if (audit_) audit_->on_accumulate(rec.key);
-    if constexpr (telemetry::kEnabled) {
-      tel_event_accumulate_ns_.record(ns_between(e0, SteadyClock::now()));
-      // The ratio moves only when an insertion happens, so updating it on
-      // the (rare, ~1%) event path keeps the gauge live for free.
-      tel_ips_pps_ratio_.set(regulator_.regulation_rate());
-    }
-    if (tracker_) {
-      tracker_->update(rec.key, flow_hash, totals.packets, totals.bytes,
-                       totals.first_seen_ns, rec.timestamp_ns);
-    }
-    if (config_.heavy_hitter.packet_threshold > 0 ||
-        config_.heavy_hitter.byte_threshold > 0) {
-      check_heavy_hitter(rec.key, flow_hash, totals.packets, totals.bytes,
-                         totals.first_seen_ns, rec.timestamp_ns);
-    }
+  if (const auto event = regulator_.offer(flow_hash, rec.wire_len)) {
+    drain_event(rec, flow_hash, *event, timed);
   }
   if (audit_) {
     // Observe AFTER the engine absorbed the packet so a due comparison
@@ -189,7 +178,34 @@ void InstaMeasure::process(const netio::PacketRecord& rec) {
   }
   if (publisher_) publisher_->maybe_publish(wsaf_, rec.timestamp_ns);
 
-  if (sampled) tel_process_ns_.record(ns_between(t0, SteadyClock::now()));
+  if (timed) tel_process_ns_.record(ns_between(t0, SteadyClock::now()));
+}
+
+void InstaMeasure::drain_event(const netio::PacketRecord& rec,
+                               std::uint64_t flow_hash,
+                               const SaturationEvent& event, bool timed) {
+  SteadyClock::time_point e0;
+  if (timed) e0 = SteadyClock::now();
+  const auto totals = wsaf_accumulate(rec.key, flow_hash, event.est_packets,
+                                      event.est_bytes, rec.timestamp_ns);
+  if (audit_) audit_->on_accumulate(rec.key);
+  if (timed) {
+    tel_event_accumulate_ns_.record(ns_between(e0, SteadyClock::now()));
+  }
+  if (config_.registry != nullptr) {
+    // The ratio moves only when an insertion happens, so updating it on
+    // the (rare, ~1%) event path keeps the gauge live for free.
+    tel_ips_pps_ratio_.set(regulator_.regulation_rate());
+  }
+  if (tracker_) {
+    tracker_->update(rec.key, flow_hash, totals.packets, totals.bytes,
+                     totals.first_seen_ns, rec.timestamp_ns);
+  }
+  if (config_.heavy_hitter.packet_threshold > 0 ||
+      config_.heavy_hitter.byte_threshold > 0) {
+    check_heavy_hitter(rec.key, flow_hash, totals.packets, totals.bytes,
+                       totals.first_seen_ns, rec.timestamp_ns);
+  }
 }
 
 void InstaMeasure::process_batch(std::span<const netio::PacketRecord> batch) {
@@ -220,16 +236,14 @@ void InstaMeasure::process_chunk(const netio::PacketRecord* recs,
   // how many sequence numbers in this chunk the scalar path would have
   // timed, measure the chunk once, and spread the mean over that many
   // histogram samples — counts match process() exactly, values become the
-  // batch-amortized per-packet time.
-  std::size_t sampled = 0;
-  if constexpr (telemetry::kEnabled) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (((pkt_seq_ + i) & sample_mask_) == 0) ++sampled;
-    }
-  }
+  // batch-amortized per-packet time. Stage 3 times the events of the same
+  // sampled packets the scalar path times.
+  const std::uint64_t first_seq = pkt_seq_;
   pkt_seq_ += n;
+  const std::uint64_t timed_packets =
+      timed_ ? multiples_in(first_seq, n, config_.telemetry_sample_shift) : 0;
   SteadyClock::time_point t0;
-  if (telemetry::kEnabled && sampled != 0) t0 = SteadyClock::now();
+  if (timed_packets != 0) t0 = SteadyClock::now();
 
   // Hardware-counter sampling: every 2^shift-th chunk brackets each stage
   // with a perf group read (profiler-owned cadence). An attached-but-
@@ -273,11 +287,9 @@ void InstaMeasure::process_chunk(const netio::PacketRecord* recs,
   std::array<Pending, kBatchChunk> pending;
   std::size_t n_pending = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if constexpr (telemetry::kEnabled) {
-      if (trace_) {
-        trace_->emit(trace_track_, telemetry::TraceEventKind::kPacket,
-                     hashes[i], static_cast<double>(recs[i].wire_len));
-      }
+    if (trace_) {
+      trace_->emit(trace_track_, telemetry::TraceEventKind::kPacket,
+                   hashes[i], static_cast<double>(recs[i].wire_len));
     }
     if (const auto event =
             regulator_.offer(hashes[i], recs[i].wire_len, layouts[i])) {
@@ -300,27 +312,8 @@ void InstaMeasure::process_chunk(const netio::PacketRecord* recs,
   // same accumulate/tracker/detection sequence the scalar path runs, so
   // totals, detection order, and telemetry counts are identical.
   for (std::size_t p = 0; p < n_pending; ++p) {
-    const auto& rec = recs[pending[p].index];
-    const auto flow_hash = hashes[pending[p].index];
-    SteadyClock::time_point e0;
-    if constexpr (telemetry::kEnabled) e0 = SteadyClock::now();
-    const auto totals =
-        wsaf_accumulate(rec.key, flow_hash, pending[p].event.est_packets,
-                        pending[p].event.est_bytes, rec.timestamp_ns);
-    if (audit_) audit_->on_accumulate(rec.key);
-    if constexpr (telemetry::kEnabled) {
-      tel_event_accumulate_ns_.record(ns_between(e0, SteadyClock::now()));
-      tel_ips_pps_ratio_.set(regulator_.regulation_rate());
-    }
-    if (tracker_) {
-      tracker_->update(rec.key, flow_hash, totals.packets, totals.bytes,
-                       totals.first_seen_ns, rec.timestamp_ns);
-    }
-    if (config_.heavy_hitter.packet_threshold > 0 ||
-        config_.heavy_hitter.byte_threshold > 0) {
-      check_heavy_hitter(rec.key, flow_hash, totals.packets, totals.bytes,
-                         totals.first_seen_ns, rec.timestamp_ns);
-    }
+    const auto i = pending[p].index;
+    drain_event(recs[i], hashes[i], pending[p].event, sampled(first_seq + i));
   }
   if constexpr (telemetry::kPerfEnabled) {
     if (perf_sampled) {
@@ -354,10 +347,12 @@ void InstaMeasure::process_chunk(const netio::PacketRecord* recs,
     publisher_->maybe_publish(wsaf_, recs[n - 1].timestamp_ns, n);
   }
 
-  if (telemetry::kEnabled && sampled != 0) {
+  if (timed_packets != 0) {
     const auto mean_ns = ns_between(t0, SteadyClock::now()) /
                          static_cast<std::uint64_t>(n);
-    for (std::size_t s = 0; s < sampled; ++s) tel_process_ns_.record(mean_ns);
+    for (std::uint64_t s = 0; s < timed_packets; ++s) {
+      tel_process_ns_.record(mean_ns);
+    }
   }
 }
 
@@ -366,38 +361,36 @@ void InstaMeasure::check_heavy_hitter(const netio::FlowKey& key,
                                       double bytes,
                                       std::uint64_t first_seen_ns,
                                       std::uint64_t now_ns) {
+  // A packet stamped before the flow's first-seen time (a backward capture
+  // timestamp, or two workers feeding one shared-table flow) reads as zero
+  // latency instead of wrapping around.
+  const std::uint64_t latency_ns =
+      now_ns > first_seen_ns ? now_ns - first_seen_ns : 0;
+  const auto report = [&](TopKMetric metric, double value) {
+    detections_.push_back({key, now_ns, value, metric});
+    tel_detections_.inc();
+    tel_detection_latency_ns_.record(latency_ns);
+    if (trace_) {
+      // payload = trace-clock first-seen-to-alarm latency, so the stage
+      // report reads the paper's detection delay straight off the event.
+      trace_->emit(trace_track_, telemetry::TraceEventKind::kDetection,
+                   flow_hash, static_cast<double>(latency_ns),
+                   static_cast<std::uint32_t>(metric));
+    }
+    if (audit_) {
+      audit_->on_detection(key, metric == TopKMetric::kBytes, now_ns);
+    }
+  };
   const auto& hh = config_.heavy_hitter;
   bool reported = false;
   if (hh.packet_threshold > 0 && packets >= hh.packet_threshold &&
       reported_pkt_.insert(flow_hash).second) {
-    detections_.push_back({key, now_ns, packets, TopKMetric::kPackets});
-    tel_detections_.inc();
-    tel_detection_latency_ns_.record(now_ns - first_seen_ns);
-    if constexpr (telemetry::kEnabled) {
-      if (trace_) {
-        // payload = trace-clock first-seen-to-alarm latency, so the stage
-        // report reads the paper's detection delay straight off the event.
-        trace_->emit(trace_track_, telemetry::TraceEventKind::kDetection,
-                     flow_hash, static_cast<double>(now_ns - first_seen_ns),
-                     static_cast<std::uint32_t>(TopKMetric::kPackets));
-      }
-    }
-    if (audit_) audit_->on_detection(key, /*by_bytes=*/false, now_ns);
+    report(TopKMetric::kPackets, packets);
     reported = true;
   }
   if (hh.byte_threshold > 0 && bytes >= hh.byte_threshold &&
       reported_byte_.insert(flow_hash).second) {
-    detections_.push_back({key, now_ns, bytes, TopKMetric::kBytes});
-    tel_detections_.inc();
-    tel_detection_latency_ns_.record(now_ns - first_seen_ns);
-    if constexpr (telemetry::kEnabled) {
-      if (trace_) {
-        trace_->emit(trace_track_, telemetry::TraceEventKind::kDetection,
-                     flow_hash, static_cast<double>(now_ns - first_seen_ns),
-                     static_cast<std::uint32_t>(TopKMetric::kBytes));
-      }
-    }
-    if (audit_) audit_->on_detection(key, /*by_bytes=*/true, now_ns);
+    report(TopKMetric::kBytes, bytes);
     reported = true;
   }
   if (reported) {

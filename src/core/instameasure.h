@@ -65,9 +65,11 @@ struct EngineConfig {
   /// Propagates into the regulator and WSAF configs like `registry`.
   telemetry::TraceRecorder* trace = nullptr;
   unsigned trace_track = 0;
-  /// Per-packet process-time histogram sampling: every 2^shift-th packet is
-  /// timed (steady_clock), amortizing the clock cost to <0.2 ns/packet at
-  /// the default 1/256. Only meaningful when telemetry is compiled in.
+  /// Timing-histogram sampling: with a `registry` attached, every
+  /// 2^shift-th packet is timed (steady_clock) together with the WSAF
+  /// events it raises, amortizing the clock cost to <0.2 ns/packet at the
+  /// default 1/256. Without a registry the engine reads no clock; a shift
+  /// of 64 or more times nothing.
   unsigned telemetry_sample_shift = 8;
   /// Live query plane: when true, the engine owns a ViewPublisher and
   /// publishes WsafViews of its shard at the cadence in `publish` —
@@ -250,6 +252,17 @@ class InstaMeasure {
   /// three-stage batch pipeline.
   void process_chunk(const netio::PacketRecord* recs, std::size_t n);
 
+  /// One saturation event into the WSAF, tracker and detectors — the
+  /// sequence process() and process_chunk()'s drain stage share. `timed`
+  /// says whether the packet that raised it is a timing sample.
+  void drain_event(const netio::PacketRecord& rec, std::uint64_t flow_hash,
+                   const SaturationEvent& event, bool timed);
+
+  /// Whether the packet with sequence number `seq` is a timing sample.
+  [[nodiscard]] bool sampled(std::uint64_t seq) const noexcept {
+    return timed_ && (seq & sample_mask_) == 0;
+  }
+
   void check_heavy_hitter(const netio::FlowKey& key, std::uint64_t flow_hash,
                           double packets, double bytes,
                           std::uint64_t first_seen_ns, std::uint64_t now_ns);
@@ -289,12 +302,13 @@ class InstaMeasure {
   std::unordered_set<std::uint64_t> reported_pkt_;
   std::unordered_set<std::uint64_t> reported_byte_;
   std::uint64_t pkt_seq_ = 0;          ///< local sequence for sampling
-  std::uint64_t sample_mask_ = 0xff;   ///< from telemetry_sample_shift
+  bool timed_ = false;                 ///< registry attached, shift < 64
+  std::uint64_t sample_mask_ = 0;      ///< 2^telemetry_sample_shift - 1
   telemetry::Counter tel_detections_;
   telemetry::Gauge tel_ips_pps_ratio_;
   telemetry::Gauge tel_reported_flows_;
   telemetry::Histogram tel_process_ns_;           ///< sampled, wall time
-  telemetry::Histogram tel_event_accumulate_ns_;  ///< wall time per event
+  telemetry::Histogram tel_event_accumulate_ns_;  ///< sampled, wall time
   telemetry::Histogram tel_detection_latency_ns_; ///< trace time to detect
   telemetry::TraceRecorder* trace_ = nullptr;
   unsigned trace_track_ = 0;

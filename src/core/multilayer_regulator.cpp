@@ -9,10 +9,10 @@ MultiLayerRegulator::MultiLayerRegulator(const MultiLayerConfig& config)
       trace_(config.trace),
       trace_track_(config.trace_track) {
   if (config.registry != nullptr) {
-    tel_packets_ = config.registry->counter(
+    packets_ = config.registry->counter(
         "im_multilayer_packets_total",
         "Packets offered to the MultiLayerRegulator", config.labels);
-    tel_emissions_ = config.registry->counter(
+    emissions_ = config.registry->counter(
         "im_multilayer_emissions_total",
         "Final-layer saturations (events forwarded to the WSAF)",
         config.labels);
@@ -35,8 +35,7 @@ MultiLayerRegulator::MultiLayerRegulator(const MultiLayerConfig& config)
 std::optional<SaturationEvent> MultiLayerRegulator::offer(
     std::uint64_t flow_hash, std::uint16_t wire_len,
     const sketch::VvLayout& layout) noexcept {
-  ++packets_;
-  tel_packets_.inc();
+  packets_.inc();
   last_len_[layout.word_index] = wire_len;
 
   std::size_t path = 0;
@@ -47,27 +46,22 @@ std::optional<SaturationEvent> MultiLayerRegulator::offer(
     if (!noise) return std::nullopt;
     unit_product *= bank.unit(*noise);
     path = path * levels_ + (*noise - noise_min_);
-    if constexpr (telemetry::kEnabled) {
-      // Intermediate layers map to kL1Saturation (aux = layer index); the
-      // final layer's event is the kL2Saturation emitted below.
-      if (trace_ && l + 1 < config_.layers) {
-        trace_->emit(trace_track_, telemetry::TraceEventKind::kL1Saturation,
-                     flow_hash, static_cast<double>(*noise), l);
-      }
+    // Intermediate layers map to kL1Saturation (aux = layer index); the
+    // final layer's event is the kL2Saturation emitted below.
+    if (trace_ && l + 1 < config_.layers) {
+      trace_->emit(trace_track_, telemetry::TraceEventKind::kL1Saturation,
+                   flow_hash, static_cast<double>(*noise), l);
     }
   }
 
-  ++emissions_;
-  tel_emissions_.inc();
+  emissions_.inc();
   SaturationEvent event;
   event.est_packets = unit_product;
   event.est_bytes = unit_product * static_cast<double>(wire_len);
   emitted_estimate_ += unit_product;
-  if constexpr (telemetry::kEnabled) {
-    if (trace_) {
-      trace_->emit(trace_track_, telemetry::TraceEventKind::kL2Saturation,
-                   flow_hash, event.est_packets, config_.layers);
-    }
+  if (trace_) {
+    trace_->emit(trace_track_, telemetry::TraceEventKind::kL2Saturation,
+                 flow_hash, event.est_packets, config_.layers);
   }
   return event;
 }
@@ -99,8 +93,8 @@ double MultiLayerRegulator::residual_packets(
 void MultiLayerRegulator::reset() noexcept {
   for (auto& bank : banks_) bank.reset();
   std::fill(last_len_.begin(), last_len_.end(), 0);
-  packets_ = 0;
-  emissions_ = 0;
+  packets_base_ = packets_.value();
+  emissions_base_ = emissions_.value();
   emitted_estimate_ = 0;
 }
 

@@ -92,16 +92,21 @@ class MultiLayerRegulator {
   /// Packets retained across every layer/path for this flow.
   [[nodiscard]] double residual_packets(std::uint64_t flow_hash) const noexcept;
 
-  [[nodiscard]] std::uint64_t packets() const noexcept { return packets_; }
-  [[nodiscard]] std::uint64_t emissions() const noexcept { return emissions_; }
+  /// Counted since the last reset().
+  [[nodiscard]] std::uint64_t packets() const noexcept {
+    return packets_.value() - packets_base_;
+  }
+  [[nodiscard]] std::uint64_t emissions() const noexcept {
+    return emissions_.value() - emissions_base_;
+  }
   [[nodiscard]] double regulation_rate() const noexcept {
-    return packets_ ? static_cast<double>(emissions_) /
-                          static_cast<double>(packets_)
-                    : 0.0;
+    const auto n = packets();
+    return n ? static_cast<double>(emissions()) / static_cast<double>(n)
+             : 0.0;
   }
   [[nodiscard]] double mean_packets_per_event() const noexcept {
-    return emissions_ ? emitted_estimate_ / static_cast<double>(emissions_)
-                      : 0.0;
+    const auto events = emissions();
+    return events ? emitted_estimate_ / static_cast<double>(events) : 0.0;
   }
   [[nodiscard]] const MultiLayerConfig& config() const noexcept {
     return config_;
@@ -122,11 +127,13 @@ class MultiLayerRegulator {
   std::vector<std::size_t> layer_offsets_;
   std::vector<sketch::RccSketch> banks_;
   std::vector<std::uint16_t> last_len_;  ///< per word of the layer-0 bank
-  std::uint64_t packets_ = 0;
-  std::uint64_t emissions_ = 0;
+  // Counted once, in the exported counters; reset() rebases the accessors
+  // so the series stay monotone (as in FlowRegulator).
+  telemetry::Counter packets_;
+  telemetry::Counter emissions_;
+  std::uint64_t packets_base_ = 0;
+  std::uint64_t emissions_base_ = 0;
   double emitted_estimate_ = 0;
-  telemetry::Counter tel_packets_;    ///< mirror of packets_
-  telemetry::Counter tel_emissions_;  ///< mirror of emissions_
   telemetry::TraceRecorder* trace_ = nullptr;
   unsigned trace_track_ = 0;
 };

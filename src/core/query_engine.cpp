@@ -38,13 +38,11 @@ void QueryEngine::note_merge(std::size_t merged_entries) const {
   }
   tel_merges_.inc();
   tel_snapshot_age_.set(static_cast<double>(snapshot_age_unlocked_()));
-  if constexpr (telemetry::kEnabled) {
-    if (config_.trace != nullptr) {
-      config_.trace->emit(config_.trace_track,
-                          telemetry::TraceEventKind::kQueryMerge,
-                          /*flow_hash=*/0,
-                          static_cast<double>(merged_entries), 0);
-    }
+  if (config_.trace != nullptr) {
+    config_.trace->emit(config_.trace_track,
+                        telemetry::TraceEventKind::kQueryMerge,
+                        /*flow_hash=*/0,
+                        static_cast<double>(merged_entries), 0);
   }
   stats_lock_.clear(std::memory_order_release);
 }

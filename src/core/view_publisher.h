@@ -104,14 +104,12 @@ class ViewPublisher {
     view->publish_wall_ns = steady_now_ns();
     channel_.commit();
     tel_publishes_.inc();
-    if constexpr (telemetry::kEnabled) {
-      if (config_.trace != nullptr) {
-        config_.trace->emit(config_.trace_track,
-                            telemetry::TraceEventKind::kViewPublish,
-                            /*flow_hash=*/0,
-                            static_cast<double>(view->entries.size()),
-                            config_.shard);
-      }
+    if (config_.trace != nullptr) {
+      config_.trace->emit(config_.trace_track,
+                          telemetry::TraceEventKind::kViewPublish,
+                          /*flow_hash=*/0,
+                          static_cast<double>(view->entries.size()),
+                          config_.shard);
     }
     return true;
   }

@@ -14,17 +14,12 @@ namespace instameasure::core {
 namespace {
 
 /// Trace hook shared by every accumulate() outcome: one branch when no
-/// recorder is attached, compiled out entirely in the OFF flavor.
+/// recorder is attached.
 inline void trace_wsaf(telemetry::TraceRecorder* trace, unsigned track,
                        telemetry::TraceEventKind kind,
                        std::uint64_t flow_hash, double payload,
                        std::uint32_t aux) noexcept {
-  if constexpr (telemetry::kEnabled) {
-    if (trace != nullptr) trace->emit(track, kind, flow_hash, payload, aux);
-  } else {
-    (void)trace; (void)track; (void)kind;
-    (void)flow_hash; (void)payload; (void)aux;
-  }
+  if (trace != nullptr) trace->emit(track, kind, flow_hash, payload, aux);
 }
 
 // Validates before WsafTable's member-init list runs: slots_ allocates

@@ -110,13 +110,11 @@ class Exporter {
     current_.reset();
     ++epochs_flushed_;
     tel_epochs_.inc();
-    if constexpr (telemetry::kEnabled) {
-      if (config_.trace != nullptr) {
-        config_.trace->emit(config_.trace_track,
-                            telemetry::TraceEventKind::kEpochSeal, 0,
-                            static_cast<double>(current_.memory_bytes()),
-                            static_cast<std::uint32_t>(epochs_flushed_));
-      }
+    if (config_.trace != nullptr) {
+      config_.trace->emit(config_.trace_track,
+                          telemetry::TraceEventKind::kEpochSeal, 0,
+                          static_cast<double>(current_.memory_bytes()),
+                          static_cast<std::uint32_t>(epochs_flushed_));
     }
   }
 
@@ -169,8 +167,7 @@ class Collector {
   /// plain-channel wrapper.
   void ingest(std::uint64_t deliver_ns, const sketch::CountMinSketch& sketch,
               const std::vector<netio::FlowKey>& watched) {
-    std::chrono::steady_clock::time_point t0;
-    if constexpr (telemetry::kEnabled) t0 = std::chrono::steady_clock::now();
+    const auto t0 = std::chrono::steady_clock::now();
     merged_.merge(sketch);
     ++sketches_received_;
     tel_sketches_.inc();
@@ -183,18 +180,16 @@ class Collector {
         }
       }
     }
-    if constexpr (telemetry::kEnabled) {
-      const auto decode_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-      tel_decode_ns_.record(decode_ns);
-      if (config_.trace != nullptr) {
-        config_.trace->emit(config_.trace_track,
-                            telemetry::TraceEventKind::kCollectorDecode, 0,
-                            static_cast<double>(decode_ns),
-                            static_cast<std::uint32_t>(sketches_received_));
-      }
+    const auto decode_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    tel_decode_ns_.record(decode_ns);
+    if (config_.trace != nullptr) {
+      config_.trace->emit(config_.trace_track,
+                          telemetry::TraceEventKind::kCollectorDecode, 0,
+                          static_cast<double>(decode_ns),
+                          static_cast<std::uint32_t>(sketches_received_));
     }
   }
 

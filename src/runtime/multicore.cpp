@@ -51,17 +51,15 @@ MultiCoreEngine::MultiCoreEngine(const MultiCoreConfig& config)
         "MultiCoreConfig: queue_capacity must be a power of two >= 2 (got " +
         std::to_string(config.queue_capacity) + ")");
   }
-  if constexpr (telemetry::kEnabled) {
-    // Track w belongs to worker w and track `workers` to the manager; a
-    // smaller recorder would silently interleave unrelated streams.
-    if (config.trace != nullptr &&
-        config.trace->tracks() < config.workers + 1) {
-      throw std::invalid_argument(
-          "MultiCoreConfig: trace recorder has " +
-          std::to_string(config.trace->tracks()) + " tracks but " +
-          std::to_string(config.workers + 1) +
-          " are required (workers + 1 manager track)");
-    }
+  // Track w belongs to worker w and track `workers` to the manager; a
+  // smaller recorder would silently interleave unrelated streams.
+  if (config.trace != nullptr &&
+      config.trace->tracks() < config.workers + 1) {
+    throw std::invalid_argument(
+        "MultiCoreConfig: trace recorder has " +
+        std::to_string(config.trace->tracks()) + " tracks but " +
+        std::to_string(config.workers + 1) +
+        " are required (workers + 1 manager track)");
   }
   if (config.shared_table && config.engine.enable_audit) {
     throw std::invalid_argument(
@@ -197,11 +195,9 @@ MultiCoreEngine::MultiCoreEngine(const MultiCoreConfig& config)
       pc.shard = 0;
       pc.registry = registry_;
       pc.labels = telemetry::Labels{{"worker", "manager"}};
-      if constexpr (telemetry::kEnabled) {
-        if (config.trace != nullptr) {
-          pc.trace = config.trace;
-          pc.trace_track = n;  // manager's track; the manager does the ticks
-        }
+      if (config.trace != nullptr) {
+        pc.trace = config.trace;
+        pc.trace_track = n;  // manager's track; the manager does the ticks
       }
       shared_publisher_ = std::make_unique<core::ViewPublisher>(pc);
       channels.push_back(&shared_publisher_->channel());
@@ -219,14 +215,12 @@ MultiCoreEngine::MultiCoreEngine(const MultiCoreConfig& config)
         qc.auditors.push_back(engine->auditor());
       }
     }
-    if constexpr (telemetry::kEnabled) {
-      // Queries run on arbitrary reader threads; they may only trace when
-      // the recorder has a spare track beyond the workers' and manager's
-      // (the QueryEngine serializes its own emits internally).
-      if (config.trace != nullptr && config.trace->tracks() > n + 1) {
-        qc.trace = config.trace;
-        qc.trace_track = n + 1;
-      }
+    // Queries run on arbitrary reader threads; they may only trace when
+    // the recorder has a spare track beyond the workers' and manager's
+    // (the QueryEngine serializes its own emits internally).
+    if (config.trace != nullptr && config.trace->tracks() > n + 1) {
+      qc.trace = config.trace;
+      qc.trace_track = n + 1;
     }
     query_engine_ = std::make_unique<core::QueryEngine>(std::move(channels), qc);
   }

@@ -137,8 +137,7 @@ struct MultiCoreConfig {
 
 /// Per-run statistics, counted by the run itself: the manager and each
 /// worker keep plain counters for this run only, and the registry's
-/// cumulative im_runtime_* / im_io_* series mirror them live, so the
-/// numbers are the same with telemetry compiled in or out.
+/// cumulative im_runtime_* / im_io_* series mirror them live.
 /// Accounting invariant (all policies, any fault schedule):
 ///   offered == processed + dropped + shed, exactly.
 struct RunStats {

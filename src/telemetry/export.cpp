@@ -1,7 +1,5 @@
 #include "telemetry/export.h"
 
-#if !defined(INSTAMEASURE_TELEMETRY_DISABLED)
-
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
@@ -15,10 +13,12 @@ namespace {
 
 // Printed values must survive a JSON/Prometheus round trip exactly for
 // integers and to full double precision otherwise: %.17g is lossless.
+// The range check comes first: casting a double outside int64's range
+// (a histogram bound near 2^64, say) is undefined behaviour.
 std::string format_number(double v) {
   char buf[64];
-  if (v == static_cast<double>(static_cast<std::int64_t>(v)) &&
-      std::abs(v) < 9.0e15) {
+  if (std::abs(v) < 9.0e15 &&
+      v == static_cast<double>(static_cast<std::int64_t>(v))) {
     std::snprintf(buf, sizeof buf, "%" PRId64,
                   static_cast<std::int64_t>(v));
   } else {
@@ -173,5 +173,3 @@ std::string to_json(const Snapshot& snapshot) {
 }
 
 }  // namespace instameasure::telemetry
-
-#endif  // !INSTAMEASURE_TELEMETRY_DISABLED

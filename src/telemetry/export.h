@@ -59,19 +59,4 @@ struct Snapshot {
 /// JSON document: {"metrics":[{name,type,labels,...}]}.
 [[nodiscard]] std::string to_json(const Snapshot& snapshot);
 
-#if defined(INSTAMEASURE_TELEMETRY_DISABLED)
-inline Snapshot Registry::snapshot() const { return {}; }
-inline const MetricSample* Snapshot::find(const std::string&,
-                                          const Labels&) const {
-  return nullptr;
-}
-inline double HistogramSnapshot::quantile(double) const noexcept { return 0; }
-inline std::string to_prometheus(const Snapshot&) { return {}; }
-inline std::string to_json(const Snapshot&) { return "{\"metrics\":[]}"; }
-inline Registry& default_registry() {
-  static Registry registry;
-  return registry;
-}
-#endif
-
 }  // namespace instameasure::telemetry

@@ -10,8 +10,6 @@
 // adds and a compare. Covers the full uint64 range — nanoseconds to hours.
 #pragma once
 
-#if !defined(INSTAMEASURE_TELEMETRY_DISABLED)
-
 #include <array>
 #include <atomic>
 #include <bit>
@@ -88,5 +86,3 @@ struct alignas(64) HistogramCell {
 };
 
 }  // namespace instameasure::telemetry
-
-#endif  // !INSTAMEASURE_TELEMETRY_DISABLED

@@ -1,7 +1,5 @@
 #include "telemetry/metrics.h"
 
-#if !defined(INSTAMEASURE_TELEMETRY_DISABLED)
-
 #include <algorithm>
 
 #include "telemetry/export.h"
@@ -158,5 +156,3 @@ Registry& default_registry() {
 }
 
 }  // namespace instameasure::telemetry
-
-#endif  // !INSTAMEASURE_TELEMETRY_DISABLED

@@ -10,15 +10,12 @@
 // cost of an enabled counter at ~1 cycle while readers (snapshot, exporter
 // threads) observe values with relaxed atomic loads — wait-free on both
 // sides, no torn reads, no locks anywhere near the data path.
-//
-// Compile-out: building with -DINSTAMEASURE_ENABLE_TELEMETRY=OFF defines
-// INSTAMEASURE_TELEMETRY_DISABLED, which swaps every class below for an
-// empty stub with the identical API. All hooks inline to nothing and the
-// instrumented fast paths are byte-identical to uninstrumented code
-// (telemetry::kEnabled lets callers `if constexpr` away timing code).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,18 +44,6 @@ enum class MetricType { kCounter, kGauge, kHistogram };
   }
   return "?";
 }
-
-}  // namespace instameasure::telemetry
-
-#if !defined(INSTAMEASURE_TELEMETRY_DISABLED)
-
-#include <atomic>
-#include <memory>
-#include <mutex>
-
-namespace instameasure::telemetry {
-
-inline constexpr bool kEnabled = true;
 
 /// Monotone counter cell. Padded so two workers' cells never share a line.
 struct alignas(64) CounterCell {
@@ -207,59 +192,3 @@ class Registry {
 [[nodiscard]] Registry& default_registry();
 
 }  // namespace instameasure::telemetry
-
-#else  // INSTAMEASURE_TELEMETRY_DISABLED: zero-cost stubs, identical API.
-
-namespace instameasure::telemetry {
-
-inline constexpr bool kEnabled = false;
-
-struct Snapshot;
-
-class Counter {
- public:
-  void inc(std::uint64_t = 1) noexcept {}
-  [[nodiscard]] std::uint64_t value() const noexcept { return 0; }
-};
-
-class Gauge {
- public:
-  void set(double) noexcept {}
-  void add(double) noexcept {}
-  [[nodiscard]] double value() const noexcept { return 0.0; }
-};
-
-class Histogram {
- public:
-  void record(std::uint64_t) noexcept {}
-  [[nodiscard]] std::uint64_t count() const noexcept { return 0; }
-  [[nodiscard]] double sum() const noexcept { return 0.0; }
-  [[nodiscard]] std::uint64_t max_value() const noexcept { return 0; }
-  [[nodiscard]] double quantile(double) const noexcept { return 0.0; }
-};
-
-class Registry {
- public:
-  [[nodiscard]] Counter counter(const std::string&, const std::string& = {},
-                                Labels = {}) {
-    return {};
-  }
-  [[nodiscard]] Gauge gauge(const std::string&, const std::string& = {},
-                            Labels = {}) {
-    return {};
-  }
-  [[nodiscard]] Histogram histogram(const std::string&,
-                                    const std::string& = {}, Labels = {}) {
-    return {};
-  }
-  [[nodiscard]] Snapshot snapshot() const;
-  [[nodiscard]] double value(const std::string&, const Labels& = {}) const {
-    return 0.0;
-  }
-};
-
-[[nodiscard]] Registry& default_registry();
-
-}  // namespace instameasure::telemetry
-
-#endif  // INSTAMEASURE_TELEMETRY_DISABLED

@@ -212,20 +212,18 @@ void PerfStageProfiler::end_chunk(std::uint64_t packets) {
        tel_dtlb_miss_per_packet_);
   ipc_of(all, tel_ipc_);
 
-  if constexpr (kEnabled) {
-    if (trace_ != nullptr && trace_->wants(TraceEventKind::kPerfCounters)) {
-      for (unsigned s = 0; s < kPerfStageCount; ++s) {
-        if (chunk_items_[s] == 0) continue;
-        const auto stage = static_cast<PerfStage>(s);
+  if (trace_ != nullptr && trace_->wants(TraceEventKind::kPerfCounters)) {
+    for (unsigned s = 0; s < kPerfStageCount; ++s) {
+      if (chunk_items_[s] == 0) continue;
+      const auto stage = static_cast<PerfStage>(s);
+      trace_->emit(trace_track_, TraceEventKind::kPerfCounters, 0,
+                   static_cast<double>(chunk_items_[s]),
+                   perf_trace_aux(stage, kPerfTraceItemsField));
+      for (unsigned c = 0; c < kPerfCounterCount; ++c) {
+        const auto& v = chunk_delta_[s].values[c];
+        if (!v.available) continue;
         trace_->emit(trace_track_, TraceEventKind::kPerfCounters, 0,
-                     static_cast<double>(chunk_items_[s]),
-                     perf_trace_aux(stage, kPerfTraceItemsField));
-        for (unsigned c = 0; c < kPerfCounterCount; ++c) {
-          const auto& v = chunk_delta_[s].values[c];
-          if (!v.available) continue;
-          trace_->emit(trace_track_, TraceEventKind::kPerfCounters, 0,
-                       v.value, perf_trace_aux(stage, c + 1));
-        }
+                     v.value, perf_trace_aux(stage, c + 1));
       }
     }
   }

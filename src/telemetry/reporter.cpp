@@ -1,7 +1,5 @@
 #include "telemetry/reporter.h"
 
-#if !defined(INSTAMEASURE_TELEMETRY_DISABLED)
-
 #include <cstdio>
 #include <fstream>
 #include <ostream>
@@ -96,5 +94,3 @@ void SnapshotReporter::run() {
 }
 
 }  // namespace instameasure::telemetry
-
-#endif  // !INSTAMEASURE_TELEMETRY_DISABLED

@@ -8,18 +8,15 @@
 // writes one final snapshot so short runs always leave a complete record.
 #pragma once
 
-#include <iosfwd>
-#include <string>
-
-#include "telemetry/metrics.h"
-
-#if !defined(INSTAMEASURE_TELEMETRY_DISABLED)
-
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <iosfwd>
 #include <mutex>
+#include <string>
 #include <thread>
+
+#include "telemetry/metrics.h"
 
 namespace instameasure::telemetry {
 
@@ -69,31 +66,3 @@ class SnapshotReporter {
 };
 
 }  // namespace instameasure::telemetry
-
-#else  // stubs
-
-#include <chrono>
-#include <cstdint>
-
-namespace instameasure::telemetry {
-
-struct ReporterConfig {
-  enum class Format { kPrometheus, kJson };
-  std::chrono::milliseconds interval{1000};
-  Format format = Format::kPrometheus;
-  std::ostream* stream = nullptr;
-  std::string path;
-};
-
-class SnapshotReporter {
- public:
-  SnapshotReporter(const Registry&, ReporterConfig) {}
-  void start() {}
-  void stop() {}
-  void write_now() {}
-  [[nodiscard]] std::uint64_t snapshots_written() const noexcept { return 0; }
-};
-
-}  // namespace instameasure::telemetry
-
-#endif  // INSTAMEASURE_TELEMETRY_DISABLED

@@ -8,9 +8,11 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "runtime/spsc_queue.h"
+
 namespace instameasure::telemetry {
 
-// --- Spool I/O (both build flavors) --------------------------------------
+// --- Spool I/O -----------------------------------------------------------
 
 namespace {
 
@@ -46,7 +48,7 @@ std::vector<TraceEvent> read_spool(const std::string& path) {
   return events;
 }
 
-// --- Chrome trace-event JSON (both build flavors) ------------------------
+// --- Chrome trace-event JSON ---------------------------------------------
 
 namespace {
 
@@ -186,15 +188,7 @@ std::string to_chrome_json(std::span<const TraceEvent> events) {
   return out;
 }
 
-}  // namespace instameasure::telemetry
-
-// --- Recorder / collector (enabled builds only) --------------------------
-
-#if !defined(INSTAMEASURE_TELEMETRY_DISABLED)
-
-#include "runtime/spsc_queue.h"
-
-namespace instameasure::telemetry {
+// --- Recorder / collector ------------------------------------------------
 
 /// One writer thread's ring. The SPSC queue already separates producer and
 /// consumer index cache lines; the append/drop counters are single-writer
@@ -300,5 +294,3 @@ bool TraceCollector::write_chrome_json(const std::string& path) const {
 }
 
 }  // namespace instameasure::telemetry
-
-#endif  // !INSTAMEASURE_TELEMETRY_DISABLED

@@ -18,15 +18,13 @@
 // into the track's SPSC ring (one release store); a full ring increments a
 // drop counter instead of blocking — the data path never waits on the
 // collector.
-//
-// Compile-out: -DINSTAMEASURE_ENABLE_TELEMETRY=OFF swaps TraceRecorder /
-// TraceCollector for empty stubs (same API) and telemetry::kEnabled lets
-// the hooks `if constexpr` away entirely. TraceEvent itself plus the spool
-// I/O, Chrome JSON rendering, and the stage-attribution analysis stay
-// available in both flavors — they are offline tooling, not hot path.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <fstream>
+#include <memory>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -157,7 +155,7 @@ static_assert(sizeof(TraceEvent) == 32, "spool format relies on 32B events");
 static_assert(std::is_trivially_copyable_v<TraceEvent>,
               "rings and spool files memcpy events");
 
-// --- Offline tooling (available in BOTH build flavors) -------------------
+// --- Offline tooling -----------------------------------------------------
 
 /// Write events as a binary spool: 8-byte magic ("IMTRC001") then raw
 /// 32-byte records. Returns false on I/O failure.
@@ -176,16 +174,7 @@ bool write_spool(const std::string& path, std::span<const TraceEvent> events);
 /// wsaf -> detection for every flow that reached a detection.
 [[nodiscard]] std::string to_chrome_json(std::span<const TraceEvent> events);
 
-}  // namespace instameasure::telemetry
-
-#if !defined(INSTAMEASURE_TELEMETRY_DISABLED)
-
-#include <atomic>
-#include <chrono>
-#include <fstream>
-#include <memory>
-
-namespace instameasure::telemetry {
+// --- Recorder / collector ------------------------------------------------
 
 struct TraceConfig {
   /// One ring per writer thread. MultiCoreEngine wants workers + 1 (the
@@ -293,50 +282,3 @@ class TraceCollector {
 };
 
 }  // namespace instameasure::telemetry
-
-#else  // INSTAMEASURE_TELEMETRY_DISABLED: zero-cost stubs, identical API.
-
-namespace instameasure::telemetry {
-
-struct TraceConfig {
-  unsigned tracks = 1;
-  std::size_t ring_capacity = 1 << 16;
-  std::uint64_t kind_mask = kAllTraceKinds;
-};
-
-class TraceRecorder {
- public:
-  explicit TraceRecorder(const TraceConfig& = {}) {}
-  [[nodiscard]] bool wants(TraceEventKind) const noexcept { return false; }
-  void emit(unsigned, TraceEventKind, std::uint64_t, double = 0.0,
-            std::uint32_t = 0) noexcept {}
-  void set_kind_mask(std::uint64_t) noexcept {}
-  [[nodiscard]] std::uint64_t kind_mask() const noexcept { return 0; }
-  [[nodiscard]] unsigned tracks() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t emitted() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t now_ns() const noexcept { return 0; }
-};
-
-class TraceCollector {
- public:
-  explicit TraceCollector(TraceRecorder&) {}
-  bool open_spool(const std::string&) { return false; }
-  std::size_t drain() { return 0; }
-  [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {
-    return events_;
-  }
-  void clear() {}
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return 0; }
-  [[nodiscard]] std::string chrome_json() const {
-    return to_chrome_json(events_);
-  }
-  bool write_chrome_json(const std::string&) const { return false; }
-
- private:
-  std::vector<TraceEvent> events_;
-};
-
-}  // namespace instameasure::telemetry
-
-#endif  // INSTAMEASURE_TELEMETRY_DISABLED

@@ -264,8 +264,7 @@ TEST(AuditDifferential, MultiCoreMergedSummaryMatchesOffline) {
 TEST(AuditDifferential, AuditIsAPureObserver) {
   // enable_audit on vs off over the same trace: detections, WSAF bytes,
   // and per-flow queries must be bit-identical — the audit plane reads
-  // engine state, never writes it. (The compile-time OFF flavor rides the
-  // CI build matrix; this pins the runtime toggle.)
+  // engine state, never writes it.
   const auto trace = zipf_trace(33);
   auto off_config = audited_config(0);
   off_config.enable_audit = false;

@@ -1,9 +1,6 @@
 // Flight recorder (telemetry/trace.h): ring semantics, drop accounting,
 // concurrent writers vs. a draining collector, spool/JSON round trips, and
-// stage attribution. The offline pieces (TraceEvent, spool I/O, Chrome
-// JSON, attribute_stages) are exercised in BOTH build flavors; recorder
-// behaviour asserts are guarded on telemetry::kEnabled like the rest of
-// the telemetry suite.
+// stage attribution.
 #include "telemetry/trace.h"
 
 #include <gtest/gtest.h>
@@ -52,28 +49,21 @@ TEST(FlightRecorder, EmitDrainRoundTrip) {
   recorder.emit(1, TraceEventKind::kDetection, 0xabcd, 123.0);
   recorder.emit(0, TraceEventKind::kWsafInsert, 0xef01, 2.0);
 
-  if constexpr (kEnabled) {
-    EXPECT_EQ(recorder.emitted(), 3u);
-    EXPECT_EQ(collector.drain(), 3u);
-    ASSERT_EQ(collector.events().size(), 3u);
-    // Track 0 drains in emission order; fields survive intact.
-    const auto& first = collector.events().front();
-    EXPECT_EQ(first.kind, TraceEventKind::kPacket);
-    EXPECT_EQ(first.flow_hash, 0xabcdu);
-    EXPECT_DOUBLE_EQ(first.payload, 64.0);
-    EXPECT_EQ(first.aux, 7u);
-    EXPECT_EQ(first.track, 0);
-    EXPECT_EQ(recorder.dropped(), 0u);
-    EXPECT_EQ(collector.drain(), 0u) << "rings already empty";
-  } else {
-    EXPECT_EQ(recorder.emitted(), 0u);
-    EXPECT_EQ(collector.drain(), 0u);
-    EXPECT_TRUE(collector.events().empty());
-  }
+  EXPECT_EQ(recorder.emitted(), 3u);
+  EXPECT_EQ(collector.drain(), 3u);
+  ASSERT_EQ(collector.events().size(), 3u);
+  // Track 0 drains in emission order; fields survive intact.
+  const auto& first = collector.events().front();
+  EXPECT_EQ(first.kind, TraceEventKind::kPacket);
+  EXPECT_EQ(first.flow_hash, 0xabcdu);
+  EXPECT_DOUBLE_EQ(first.payload, 64.0);
+  EXPECT_EQ(first.aux, 7u);
+  EXPECT_EQ(first.track, 0);
+  EXPECT_EQ(recorder.dropped(), 0u);
+  EXPECT_EQ(collector.drain(), 0u) << "rings already empty";
 }
 
 TEST(FlightRecorder, DropCounterExactAboveCapacity) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
   TraceConfig config;
   config.tracks = 1;
   config.ring_capacity = 8;
@@ -96,7 +86,6 @@ TEST(FlightRecorder, DropCounterExactAboveCapacity) {
 }
 
 TEST(FlightRecorder, KindMaskGatesAndHotSwaps) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
   TraceConfig config;
   config.kind_mask = kind_bit(TraceEventKind::kDetection);
   TraceRecorder recorder{config};
@@ -121,7 +110,6 @@ TEST(FlightRecorder, KindMaskGatesAndHotSwaps) {
 }
 
 TEST(FlightRecorder, OutOfRangeTrackIsCountedNotRacy) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
   TraceConfig config;
   config.tracks = 2;
   TraceRecorder recorder{config};
@@ -166,33 +154,28 @@ TEST(FlightRecorder, ConcurrentWritersWithDrainingCollector) {
   for (auto& t : writers) t.join();
   collector.drain();  // pick up the tail
 
-  if constexpr (kEnabled) {
-    EXPECT_EQ(recorder.dropped(), 0u);
-    ASSERT_EQ(collector.events().size(), kWriters * kPerWriter)
-        << "no event lost below capacity";
-    // Per-track: complete 0..kPerWriter-1 sequence and monotone timestamps.
-    std::vector<std::uint64_t> next_seq(kWriters, 0);
-    std::vector<std::uint64_t> last_ts(kWriters, 0);
-    for (const auto& e : collector.events()) {
-      ASSERT_LT(e.track, kWriters);
-      EXPECT_EQ(e.flow_hash, e.track + 1u);
-      ASSERT_EQ(e.payload, static_cast<double>(next_seq[e.track]))
-          << "track " << unsigned{e.track} << " lost or reordered an event";
-      ++next_seq[e.track];
-      EXPECT_GE(e.ts_ns, last_ts[e.track]) << "timestamps monotone per track";
-      last_ts[e.track] = e.ts_ns;
-    }
-    for (unsigned w = 0; w < kWriters; ++w) EXPECT_EQ(next_seq[w], kPerWriter);
-    EXPECT_EQ(recorder.emitted(), kWriters * kPerWriter);
-  } else {
-    EXPECT_TRUE(collector.events().empty());
+  EXPECT_EQ(recorder.dropped(), 0u);
+  ASSERT_EQ(collector.events().size(), kWriters * kPerWriter)
+      << "no event lost below capacity";
+  // Per-track: complete 0..kPerWriter-1 sequence and monotone timestamps.
+  std::vector<std::uint64_t> next_seq(kWriters, 0);
+  std::vector<std::uint64_t> last_ts(kWriters, 0);
+  for (const auto& e : collector.events()) {
+    ASSERT_LT(e.track, kWriters);
+    EXPECT_EQ(e.flow_hash, e.track + 1u);
+    ASSERT_EQ(e.payload, static_cast<double>(next_seq[e.track]))
+        << "track " << unsigned{e.track} << " lost or reordered an event";
+    ++next_seq[e.track];
+    EXPECT_GE(e.ts_ns, last_ts[e.track]) << "timestamps monotone per track";
+    last_ts[e.track] = e.ts_ns;
   }
+  for (unsigned w = 0; w < kWriters; ++w) EXPECT_EQ(next_seq[w], kPerWriter);
+  EXPECT_EQ(recorder.emitted(), kWriters * kPerWriter);
 }
 
 // Above capacity with no draining: appended + dropped must equal emits
 // exactly, per track, even with all writers running concurrently.
 TEST(FlightRecorder, ConcurrentDropAccountingIsExact) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
   constexpr unsigned kWriters = 4;
   constexpr std::uint64_t kPerWriter = 20'000;
 
@@ -217,7 +200,7 @@ TEST(FlightRecorder, ConcurrentDropAccountingIsExact) {
 }
 
 TEST(FlightRecorderSpool, RoundTripAndTruncatedTail) {
-  // Offline tooling: works in both flavors on a hand-built event vector.
+  // Offline tooling: works on a hand-built event vector.
   std::vector<TraceEvent> events;
   for (int i = 0; i < 5; ++i) {
     TraceEvent e;
@@ -256,7 +239,6 @@ TEST(FlightRecorderSpool, RoundTripAndTruncatedTail) {
 }
 
 TEST(FlightRecorderSpool, CollectorStreamsWhileDraining) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
   TraceConfig config;
   TraceRecorder recorder{config};
   TraceCollector collector{recorder};
@@ -371,43 +353,38 @@ TEST(FlightRecorderIntegration, EngineEmitsChainEvents) {
   }
   collector.drain();
 
-  if constexpr (kEnabled) {
-    // The engine hashes keys with its own seed; what matters is that every
-    // stage of the chain carries the SAME flow hash (that is what links
-    // the Perfetto arrows and the stage attribution).
-    std::uint64_t packet_hash = 0;
-    bool saw_packet = false, saw_l2 = false, saw_wsaf = false,
-         saw_detect = false;
-    for (const auto& e : collector.events()) {
-      switch (e.kind) {
-        case TraceEventKind::kPacket:
-          saw_packet = true;
-          packet_hash = e.flow_hash;
-          break;
-        case TraceEventKind::kL2Saturation: saw_l2 = true; break;
-        case TraceEventKind::kWsafInsert:
-        case TraceEventKind::kWsafUpdate: saw_wsaf = true; break;
-        case TraceEventKind::kDetection:
-          saw_detect = true;
-          EXPECT_EQ(e.flow_hash, packet_hash)
-              << "detection must chain to the packet events of its flow";
-          break;
-        default: break;
-      }
+  // The engine hashes keys with its own seed; what matters is that every
+  // stage of the chain carries the SAME flow hash (that is what links
+  // the Perfetto arrows and the stage attribution).
+  std::uint64_t packet_hash = 0;
+  bool saw_packet = false, saw_l2 = false, saw_wsaf = false,
+       saw_detect = false;
+  for (const auto& e : collector.events()) {
+    switch (e.kind) {
+      case TraceEventKind::kPacket:
+        saw_packet = true;
+        packet_hash = e.flow_hash;
+        break;
+      case TraceEventKind::kL2Saturation: saw_l2 = true; break;
+      case TraceEventKind::kWsafInsert:
+      case TraceEventKind::kWsafUpdate: saw_wsaf = true; break;
+      case TraceEventKind::kDetection:
+        saw_detect = true;
+        EXPECT_EQ(e.flow_hash, packet_hash)
+            << "detection must chain to the packet events of its flow";
+        break;
+      default: break;
     }
-    EXPECT_TRUE(saw_packet);
-    EXPECT_TRUE(saw_l2);
-    EXPECT_TRUE(saw_wsaf);
-    EXPECT_TRUE(saw_detect) << "an elephant past the threshold must alarm";
-
-    const auto report =
-        analysis::attribute_stages(std::span{collector.events()});
-    EXPECT_GT(report.detections, 0u);
-    EXPECT_GT(report.pipeline[4].count, 0u) << "packet->detection measured";
-  } else {
-    EXPECT_TRUE(collector.events().empty());
-    // The hooks still compiled (engine ran fine) — that IS the assertion.
   }
+  EXPECT_TRUE(saw_packet);
+  EXPECT_TRUE(saw_l2);
+  EXPECT_TRUE(saw_wsaf);
+  EXPECT_TRUE(saw_detect) << "an elephant past the threshold must alarm";
+
+  const auto report =
+      analysis::attribute_stages(std::span{collector.events()});
+  EXPECT_GT(report.detections, 0u);
+  EXPECT_GT(report.pipeline[4].count, 0u) << "packet->detection measured";
 }
 
 }  // namespace

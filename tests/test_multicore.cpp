@@ -183,7 +183,6 @@ TEST(MultiCore, DeterministicPerShardWsafAcrossRunsAndPaths) {
 // that holds the whole trace, so every later pop takes a full burst of 64:
 // at most 1 + ceil(P/64) busy polls, where counting packets would give P.
 TEST(MultiCore, BusyPollsCountBurstsNotPackets) {
-  if constexpr (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   trace::Trace slice;
   for (std::uint32_t i = 0; i < 20'000; ++i) {
     netio::PacketRecord rec;

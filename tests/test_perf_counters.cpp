@@ -179,11 +179,9 @@ TEST(PerfStageProfiler, BatchedEngineIntegration) {
   EXPECT_EQ(reg.items, 8u * 256u);
   EXPECT_EQ(hash.samples, profiler.sampled_chunks());
   EXPECT_TRUE(profiler.totals().any_available());
-  if constexpr (telemetry::kEnabled) {
-    // Derived gauges exist once end_chunk ran with live counters.
-    const auto snapshot = registry.snapshot();
-    EXPECT_NE(snapshot.find("im_perf_ipc", {}), nullptr);
-  }
+  // Derived gauges exist once end_chunk ran with live counters.
+  const auto snapshot = registry.snapshot();
+  EXPECT_NE(snapshot.find("im_perf_ipc", {}), nullptr);
   // Trace events decode back through the stage-attribution path.
   TraceCollector collector{recorder};
   collector.drain();

@@ -394,7 +394,6 @@ TEST(MultiCoreValidation, ErrorMessagesNameTheOffendingValue) {
 }
 
 TEST(MultiCoreValidation, UndersizedTraceRecorderRejected) {
-  if constexpr (!telemetry::kEnabled) GTEST_SKIP();
   telemetry::TraceConfig trace_config;
   trace_config.tracks = 2;  // needs workers + 1 = 5
   telemetry::TraceRecorder recorder{trace_config};

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "runtime/multicore.h"
 #include "telemetry/export.h"
 #include "telemetry/reporter.h"
+#include "telemetry/trace.h"
 #include "trace/generator.h"
 #include "util/format.h"
 #include "util/rng.h"
@@ -25,19 +27,11 @@
 namespace instameasure::telemetry {
 namespace {
 
-// The whole suite must pass in both build flavors: with telemetry enabled
-// (cells live, exporters render) and compiled out (every hook a no-op that
-// reads as zero). kEnabled-guarded expectations encode both contracts.
-
 TEST(Counter, StandaloneHandleCounts) {
   Counter c;
   c.inc();
   c.inc(41);
-  if constexpr (kEnabled) {
-    EXPECT_EQ(c.value(), 42u);
-  } else {
-    EXPECT_EQ(c.value(), 0u);
-  }
+  EXPECT_EQ(c.value(), 42u);
 }
 
 TEST(Counter, PerThreadHandlesAggregateInRegistry) {
@@ -54,15 +48,10 @@ TEST(Counter, PerThreadHandlesAggregateInRegistry) {
     });
   }
   for (auto& t : threads) t.join();
-  if constexpr (kEnabled) {
-    EXPECT_EQ(registry.value("test_ops_total"), kThreads * kPerThread);
-  } else {
-    EXPECT_EQ(registry.value("test_ops_total"), 0.0);
-  }
+  EXPECT_EQ(registry.value("test_ops_total"), kThreads * kPerThread);
 }
 
 TEST(Counter, LabelFilterSelectsSeries) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
   Registry registry;
   auto a = registry.counter("test_pkts_total", "", {{"worker", "0"}});
   auto b = registry.counter("test_pkts_total", "", {{"worker", "1"}});
@@ -75,7 +64,6 @@ TEST(Counter, LabelFilterSelectsSeries) {
 }
 
 TEST(Gauge, SameSeriesSharesOneCell) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
   Registry registry;
   auto a = registry.gauge("test_ratio");
   auto b = registry.gauge("test_ratio");
@@ -86,7 +74,6 @@ TEST(Gauge, SameSeriesSharesOneCell) {
 }
 
 TEST(HistogramMetric, PercentilesTrackExactQuantiles) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
   // Log-normal-ish latency distribution spanning several octaves; the
   // log-scale buckets (8 per octave) bound relative error at 12.5%, and
   // the midpoint estimate halves that.
@@ -112,7 +99,6 @@ TEST(HistogramMetric, PercentilesTrackExactQuantiles) {
 }
 
 TEST(HistogramMetric, SmallValuesAreExact) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
   Histogram h;
   for (std::uint64_t v = 0; v < 8; ++v) h.record(v);
   // Values below one sub-bucket block land in unit-wide buckets.
@@ -123,7 +109,6 @@ TEST(HistogramMetric, SmallValuesAreExact) {
 }
 
 TEST(Export, PrometheusTextFormat) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
   Registry registry;
   auto c = registry.counter("test_requests_total", "Requests served",
                             {{"code", "200"}});
@@ -152,7 +137,6 @@ TEST(Export, PrometheusTextFormat) {
 }
 
 TEST(Export, PrometheusBucketsAreCumulative) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
   Registry registry;
   auto h = registry.histogram("test_h");
   for (std::uint64_t v : {1, 1, 100, 10'000}) h.record(v);
@@ -173,7 +157,6 @@ TEST(Export, PrometheusBucketsAreCumulative) {
 }
 
 TEST(Export, JsonCarriesValuesAndPercentiles) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
   Registry registry;
   auto c = registry.counter("test_total", "", {{"k", "v"}});
   c.inc(9);
@@ -198,7 +181,6 @@ TEST(Export, EscapesControlCharactersInLabels) {
   const std::string hostile = "a\"b\\c\nd\te\rf\x01g";
   EXPECT_EQ(util::json_escape(hostile),
             "a\\\"b\\\\c\\nd\\te\\rf\\u0001g");
-  if constexpr (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
   Registry registry;
   auto c = registry.counter("test_hostile_total", "", {{"k", hostile}});
   c.inc(1);
@@ -217,7 +199,6 @@ TEST(Export, EscapesControlCharactersInLabels) {
 }
 
 TEST(Export, SnapshotFindFiltersByLabel) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
   Registry registry;
   auto a = registry.counter("test_x", "", {{"w", "0"}});
   auto b = registry.counter("test_x", "", {{"w", "1"}});
@@ -228,6 +209,27 @@ TEST(Export, SnapshotFindFiltersByLabel) {
   ASSERT_NE(s, nullptr);
   EXPECT_DOUBLE_EQ(s->value, 2.0);
   EXPECT_EQ(snapshot.find("test_x", {{"w", "5"}}), nullptr);
+}
+
+TEST(Export, FormatsValuesBeyondInt64Range) {
+  // HistogramCell covers the whole uint64 range, so exported numbers can
+  // exceed int64; they print as doubles, never through an int64 cast.
+  Registry registry;
+  auto h = registry.histogram("test_huge_ns");
+  h.record(std::numeric_limits<std::uint64_t>::max());
+  const auto snapshot = registry.snapshot();
+  const std::string kBound = "1.8446744073709552e+19";
+
+  const auto json = to_json(snapshot);
+  EXPECT_NE(json.find("\"max\":" + kBound), std::string::npos) << json;
+  EXPECT_NE(json.find("\"buckets\":[[" + kBound + ",1]]"), std::string::npos)
+      << json;
+  const auto text = to_prometheus(snapshot);
+  EXPECT_NE(text.find("test_huge_ns_bucket{le=\"" + kBound + "\"} 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("test_huge_ns_sum " + kBound + "\n"), std::string::npos)
+      << text;
 }
 
 TEST(Reporter, PeriodicAndFinalSnapshots) {
@@ -242,13 +244,8 @@ TEST(Reporter, PeriodicAndFinalSnapshots) {
   reporter.start();
   std::this_thread::sleep_for(std::chrono::milliseconds{70});
   reporter.stop();
-  if constexpr (kEnabled) {
-    EXPECT_GE(reporter.snapshots_written(), 2u);  // >=1 tick + final
-    EXPECT_NE(out.str().find("test_ticks_total"), std::string::npos);
-  } else {
-    EXPECT_EQ(reporter.snapshots_written(), 0u);
-    EXPECT_TRUE(out.str().empty());
-  }
+  EXPECT_GE(reporter.snapshots_written(), 2u);  // >=1 tick + final
+  EXPECT_NE(out.str().find("test_ticks_total"), std::string::npos);
 }
 
 TEST(Reporter, StopReturnsPromptlyDespiteLongInterval) {
@@ -271,9 +268,7 @@ TEST(Reporter, StopReturnsPromptlyDespiteLongInterval) {
                            std::chrono::steady_clock::now() - t0)
                            .count();
   EXPECT_LT(stop_ms, 100.0) << "stop() must not wait out the 10 s interval";
-  if constexpr (kEnabled) {
-    EXPECT_GE(reporter.snapshots_written(), 1u) << "final snapshot on stop";
-  }
+  EXPECT_GE(reporter.snapshots_written(), 1u) << "final snapshot on stop";
 
   // Concurrent stop() calls (e.g. explicit stop racing the destructor's)
   // must not double-join the tick thread.
@@ -345,14 +340,12 @@ TEST(Reporter, TextfilePublishIsAtomicUnderConcurrentReads) {
   done = true;
   reader.join();
 
-  if constexpr (kEnabled) {
-    EXPECT_GE(reporter.snapshots_written(), 2u);
-    EXPECT_GT(reads.load(), 0u);
-    EXPECT_EQ(torn.load(), 0u)
-        << "reader observed a truncated snapshot (non-atomic publish)";
-    EXPECT_FALSE(fs::exists(path.string() + ".tmp"))
-        << "tmp file must not survive a successful publish";
-  }
+  EXPECT_GE(reporter.snapshots_written(), 2u);
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(torn.load(), 0u)
+      << "reader observed a truncated snapshot (non-atomic publish)";
+  EXPECT_FALSE(fs::exists(path.string() + ".tmp"))
+      << "tmp file must not survive a successful publish";
   fs::remove(path, ec);
   fs::remove(path.string() + ".tmp", ec);
 }
@@ -372,33 +365,52 @@ TEST(Integration, EngineMirrorsMatchAuthoritativeCounts) {
         netio::PacketRecord{static_cast<std::uint64_t>(i) * 1000, key, 500});
   }
 
-  if constexpr (kEnabled) {
-    // The registry mirrors the plain member counters exactly.
-    EXPECT_EQ(registry.value("im_regulator_packets_total"),
-              static_cast<double>(engine.regulator().packets()));
-    EXPECT_EQ(registry.value("im_regulator_l2_saturations_total"),
-              static_cast<double>(engine.regulator().l2_saturations()));
-    EXPECT_EQ(registry.value("im_wsaf_inserts_total"),
-              static_cast<double>(engine.wsaf().stats().inserts));
-    EXPECT_EQ(registry.value("im_wsaf_occupancy"),
-              static_cast<double>(engine.wsaf().occupancy()));
-    // Live ips/pps gauge equals the regulator's regulation rate (updated
-    // on the event path; an elephant of this size saturates many times).
-    EXPECT_GT(engine.regulator().l2_saturations(), 0u);
-    EXPECT_NEAR(registry.value("im_engine_ips_pps_ratio"),
-                engine.regulator().regulation_rate(),
-                1e-3);  // gauge lags by the packets since the last event
-    // Sampled per-packet timing populated the process histogram.
-    const auto snapshot = registry.snapshot();
-    const auto* process = snapshot.find("im_engine_process_ns");
-    ASSERT_NE(process, nullptr);
-    ASSERT_TRUE(process->histogram.has_value());
-    EXPECT_GE(process->histogram->count, kPackets / 256 / 2);
-  } else {
-    EXPECT_EQ(registry.value("im_regulator_packets_total"), 0.0);
-  }
-  // The authoritative plain counters work in BOTH builds.
+  // The regulator's accessors read its exported counters.
+  EXPECT_EQ(registry.value("im_regulator_packets_total"),
+            static_cast<double>(engine.regulator().packets()));
+  EXPECT_EQ(registry.value("im_regulator_l2_saturations_total"),
+            static_cast<double>(engine.regulator().l2_saturations()));
+  EXPECT_EQ(registry.value("im_wsaf_inserts_total"),
+            static_cast<double>(engine.wsaf().stats().inserts));
+  EXPECT_EQ(registry.value("im_wsaf_occupancy"),
+            static_cast<double>(engine.wsaf().occupancy()));
+  // Live ips/pps gauge equals the regulator's regulation rate (updated
+  // on the event path; an elephant of this size saturates many times).
+  EXPECT_GT(engine.regulator().l2_saturations(), 0u);
+  EXPECT_NEAR(registry.value("im_engine_ips_pps_ratio"),
+              engine.regulator().regulation_rate(),
+              1e-3);  // gauge lags by the packets since the last event
+  // Sampled per-packet timing populated the process histogram.
+  const auto snapshot = registry.snapshot();
+  const auto* process = snapshot.find("im_engine_process_ns");
+  ASSERT_NE(process, nullptr);
+  ASSERT_TRUE(process->histogram.has_value());
+  EXPECT_GE(process->histogram->count, kPackets / 256 / 2);
   EXPECT_EQ(engine.regulator().packets(), static_cast<std::uint64_t>(kPackets));
+
+  // reset() restarts the accessors (EpochEngine's interval mode reads
+  // per-epoch counts) while the exported series stay monotone.
+  const char* const kSeries[] = {"im_regulator_packets_total",
+                                 "im_regulator_l1_saturations_total",
+                                 "im_regulator_l2_saturations_total"};
+  std::vector<double> before;
+  for (const char* name : kSeries) before.push_back(registry.value(name));
+  EXPECT_GT(before[1], 0.0);
+  engine.reset();
+  EXPECT_EQ(engine.regulator().packets(), 0u);
+  EXPECT_EQ(engine.regulator().l1_saturations(), 0u);
+  EXPECT_EQ(engine.regulator().l2_saturations(), 0u);
+  EXPECT_EQ(engine.regulator().regulation_rate(), 0.0);
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(registry.value(kSeries[i]), before[i]) << kSeries[i];
+  }
+  constexpr int kAfter = 1'000;
+  for (int i = 0; i < kAfter; ++i) {
+    engine.process(
+        netio::PacketRecord{static_cast<std::uint64_t>(i) * 1000, key, 500});
+  }
+  EXPECT_EQ(engine.regulator().packets(), static_cast<std::uint64_t>(kAfter));
+  EXPECT_EQ(registry.value("im_regulator_packets_total"), before[0] + kAfter);
 }
 
 TEST(Integration, DetectionLatencyHistogramPopulated) {
@@ -416,16 +428,56 @@ TEST(Integration, DetectionLatencyHistogramPopulated) {
         netio::PacketRecord{static_cast<std::uint64_t>(i) * 1000, key, 500});
   }
   ASSERT_FALSE(engine.detections().empty());
-  if constexpr (kEnabled) {
-    EXPECT_EQ(registry.value("im_engine_detections_total"),
-              static_cast<double>(engine.detections().size()));
-    const auto snapshot = registry.snapshot();
-    const auto* lat = snapshot.find("im_engine_detection_latency_ns");
-    ASSERT_NE(lat, nullptr);
-    ASSERT_TRUE(lat->histogram.has_value());
-    EXPECT_EQ(lat->histogram->count, engine.detections().size());
-    EXPECT_GT(lat->histogram->quantile(0.5), 0.0);
+  EXPECT_EQ(registry.value("im_engine_detections_total"),
+            static_cast<double>(engine.detections().size()));
+  const auto snapshot = registry.snapshot();
+  const auto* lat = snapshot.find("im_engine_detection_latency_ns");
+  ASSERT_NE(lat, nullptr);
+  ASSERT_TRUE(lat->histogram.has_value());
+  EXPECT_EQ(lat->histogram->count, engine.detections().size());
+  EXPECT_GT(lat->histogram->quantile(0.5), 0.0);
+}
+
+TEST(Integration, DetectionLatencyClampsOutOfOrderArrival) {
+  // A packet stamped before its flow's WSAF first-seen time (a backward
+  // capture timestamp, or two workers feeding one shared-table flow) can
+  // raise the alarm. Its latency reads 0, never a wrapped ~1.8e19 ns.
+  Registry registry;
+  TraceConfig trace_config;
+  trace_config.kind_mask = kind_bit(TraceEventKind::kDetection);
+  TraceRecorder recorder{trace_config};
+  core::EngineConfig config;
+  config.regulator.l1_memory_bytes = 32 * 1024;
+  config.wsaf.log2_entries = 14;
+  config.heavy_hitter.packet_threshold = 2'000;
+  config.registry = &registry;
+  config.trace = &recorder;
+  core::InstaMeasure engine{config};
+
+  const netio::FlowKey key{0x0b000001, 0x0b000002, 5555, 53, 17};
+  constexpr std::uint64_t kFirstSeenNs = 1'000'000'000;
+  constexpr std::uint64_t kEarlierNs = 500'000'000;
+  while (!engine.query(key).in_wsaf) {
+    engine.process(netio::PacketRecord{kFirstSeenNs, key, 100});
   }
+  ASSERT_TRUE(engine.detections().empty());
+  for (int i = 0; i < 10'000 && engine.detections().empty(); ++i) {
+    engine.process(netio::PacketRecord{kEarlierNs, key, 100});
+  }
+  ASSERT_EQ(engine.detections().size(), 1u);
+
+  const auto snapshot = registry.snapshot();
+  const auto* lat = snapshot.find("im_engine_detection_latency_ns");
+  ASSERT_NE(lat, nullptr);
+  ASSERT_TRUE(lat->histogram.has_value());
+  EXPECT_EQ(lat->histogram->count, 1u);
+  EXPECT_EQ(lat->histogram->max, 0u);
+
+  TraceCollector collector{recorder};
+  collector.drain();
+  ASSERT_EQ(collector.events().size(), 1u);
+  EXPECT_EQ(collector.events().front().kind, TraceEventKind::kDetection);
+  EXPECT_EQ(collector.events().front().payload, 0.0);
 }
 
 TEST(Integration, MultiCoreStatsAgreeWithRegistry) {
@@ -445,27 +497,25 @@ TEST(Integration, MultiCoreStatsAgreeWithRegistry) {
   const auto stats = engine.run(trace);
 
   // RunStats reads the run's own manager/worker counters, which the
-  // registry mirrors live when telemetry is on — either way the totals
-  // must balance, and with telemetry on the two must agree.
+  // registry mirrors live: the totals must balance, and the two must
+  // agree.
   std::uint64_t total = 0;
   for (const auto p : stats.per_worker_packets) total += p;
   EXPECT_EQ(total, trace.packets.size());
 
-  if constexpr (kEnabled) {
-    auto& registry = engine.registry();
-    EXPECT_EQ(registry.value("im_runtime_worker_packets_total"),
-              static_cast<double>(trace.packets.size()));
-    for (unsigned w = 0; w < engine.workers(); ++w) {
-      const Labels filter{{"worker", std::to_string(w)}};
-      EXPECT_EQ(registry.value("im_runtime_worker_packets_total", filter),
-                static_cast<double>(stats.per_worker_packets[w]));
-      // Every worker's engine exported under its own label too.
-      EXPECT_EQ(registry.value("im_regulator_packets_total", filter),
-                static_cast<double>(stats.per_worker_packets[w]));
-    }
-    EXPECT_EQ(registry.value("im_runtime_runs_total"), 1.0);
-    EXPECT_NEAR(registry.value("im_runtime_mpps"), stats.mpps, 1e-9);
+  auto& registry = engine.registry();
+  EXPECT_EQ(registry.value("im_runtime_worker_packets_total"),
+            static_cast<double>(trace.packets.size()));
+  for (unsigned w = 0; w < engine.workers(); ++w) {
+    const Labels filter{{"worker", std::to_string(w)}};
+    EXPECT_EQ(registry.value("im_runtime_worker_packets_total", filter),
+              static_cast<double>(stats.per_worker_packets[w]));
+    // Every worker's engine exported under its own label too.
+    EXPECT_EQ(registry.value("im_regulator_packets_total", filter),
+              static_cast<double>(stats.per_worker_packets[w]));
   }
+  EXPECT_EQ(registry.value("im_runtime_runs_total"), 1.0);
+  EXPECT_NEAR(registry.value("im_runtime_mpps"), stats.mpps, 1e-9);
 }
 
 TEST(Integration, DelegationPipelineExportsChannelTraffic) {
@@ -486,25 +536,22 @@ TEST(Integration, DelegationPipelineExportsChannelTraffic) {
   const auto run = delegation::run_pipeline(trace.packets, config, watched);
 
   EXPECT_GT(run.epochs, 0u);
-  if constexpr (kEnabled) {
-    EXPECT_EQ(registry.value("im_delegation_epochs_total"),
-              static_cast<double>(run.epochs));
-    EXPECT_EQ(registry.value("im_delegation_sketches_received_total"),
-              static_cast<double>(run.sketches_delivered));
-    // Every flush ships the whole sketch.
-    const sketch::CountMinSketch probe{config.sketch};
-    EXPECT_EQ(registry.value("im_delegation_channel_bytes_total"),
-              static_cast<double>(run.epochs * probe.memory_bytes()));
-    const auto snapshot = registry.snapshot();
-    const auto* decode = snapshot.find("im_delegation_collector_decode_ns");
-    ASSERT_NE(decode, nullptr);
-    ASSERT_TRUE(decode->histogram.has_value());
-    EXPECT_EQ(decode->histogram->count, run.sketches_delivered);
-  }
+  EXPECT_EQ(registry.value("im_delegation_epochs_total"),
+            static_cast<double>(run.epochs));
+  EXPECT_EQ(registry.value("im_delegation_sketches_received_total"),
+            static_cast<double>(run.sketches_delivered));
+  // Every flush ships the whole sketch.
+  const sketch::CountMinSketch probe{config.sketch};
+  EXPECT_EQ(registry.value("im_delegation_channel_bytes_total"),
+            static_cast<double>(run.epochs * probe.memory_bytes()));
+  const auto snapshot = registry.snapshot();
+  const auto* decode = snapshot.find("im_delegation_collector_decode_ns");
+  ASSERT_NE(decode, nullptr);
+  ASSERT_TRUE(decode->histogram.has_value());
+  EXPECT_EQ(decode->histogram->count, run.sketches_delivered);
 }
 
 TEST(Integration, MemoryModelPublishesFeasibilityEnvelope) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
   Registry registry;
   memmodel::WsafBudget budget;
   memmodel::publish(budget, registry, 10e6);
@@ -519,15 +566,19 @@ TEST(Integration, BatchPathKeepsTelemetryLockstep) {
   // Regression for the batched hot path: reusing precomputed hashes through
   // the regulator and WSAF must not double-count anything. Every counter,
   // the probe-length histogram (count AND sum — the batch path walks the
-  // exact same probe sequences), the sampled process_ns count (lockstep
-  // sampling), and the logical memory accounting must match the scalar
-  // engine exactly; only timing-valued sums may differ.
+  // exact same probe sequences), the sampled process_ns and
+  // event_accumulate_ns counts (lockstep sampling), and the logical memory
+  // accounting must match the scalar engine exactly; only timing-valued
+  // sums may differ. Checked at every sample shift (64 = never) and at
+  // batch sizes below, at and across the 64-packet chunk, so the chunk's
+  // closed-form sample count and its sampled event timing are pinned.
   trace::TraceConfig tconfig;
   tconfig.duration_s = 1.0;
   tconfig.tiers = {{3, 15'000, 30'000}, {25, 1'000, 4'000}};
   tconfig.mice = {8'000, 1.1, 40};
   tconfig.seed = 99;
   const auto trace = trace::generate(tconfig);
+  const std::span<const netio::PacketRecord> all{trace.packets};
 
   core::EngineConfig config;
   config.regulator.l1_memory_bytes = 32 * 1024;
@@ -535,38 +586,6 @@ TEST(Integration, BatchPathKeepsTelemetryLockstep) {
   config.heavy_hitter.packet_threshold = 5'000;
   config.track_top_k = 5;
 
-  Registry scalar_reg, batch_reg;
-  auto scalar_config = config;
-  scalar_config.registry = &scalar_reg;
-  auto batch_config = config;
-  batch_config.registry = &batch_reg;
-  core::InstaMeasure scalar{scalar_config};
-  core::InstaMeasure batch{batch_config};
-
-  for (const auto& rec : trace.packets) scalar.process(rec);
-  const std::span<const netio::PacketRecord> all{trace.packets};
-  for (std::size_t off = 0; off < all.size(); off += 48) {
-    batch.process_batch(
-        all.subspan(off, std::min<std::size_t>(48, all.size() - off)));
-  }
-
-  EXPECT_EQ(scalar.wsaf().logical_memory_bytes(),
-            batch.wsaf().logical_memory_bytes());
-  EXPECT_EQ(core::WsafTable::logical_entry_bytes(), 33u);
-
-  if constexpr (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
-  for (const char* name :
-       {"im_regulator_packets_total", "im_regulator_l1_saturations_total",
-        "im_regulator_l2_saturations_total", "im_wsaf_accumulates_total",
-        "im_wsaf_inserts_total", "im_wsaf_updates_total",
-        "im_wsaf_evictions_total", "im_wsaf_rejected_total",
-        "im_wsaf_gc_reclaims_total", "im_wsaf_occupancy",
-        "im_engine_detections_total", "im_engine_reported_flows"}) {
-    EXPECT_DOUBLE_EQ(scalar_reg.value(name), batch_reg.value(name)) << name;
-  }
-
-  const auto ss = scalar_reg.snapshot();
-  const auto bs = batch_reg.snapshot();
   const auto histogram_of = [](const Snapshot& snap, const char* name) {
     const auto* sample = snap.find(name);
     EXPECT_NE(sample, nullptr) << name;
@@ -575,30 +594,87 @@ TEST(Integration, BatchPathKeepsTelemetryLockstep) {
                ? &*sample->histogram
                : nullptr;
   };
-  const auto* probe_s = histogram_of(ss, "im_wsaf_probe_length");
-  const auto* probe_b = histogram_of(bs, "im_wsaf_probe_length");
-  ASSERT_NE(probe_s, nullptr);
-  ASSERT_NE(probe_b, nullptr);
-  EXPECT_GT(probe_s->count, 0u);
-  EXPECT_EQ(probe_s->count, probe_b->count);
-  EXPECT_DOUBLE_EQ(probe_s->sum, probe_b->sum);
 
-  // Timing histograms: sample COUNTS are part of the lockstep contract;
-  // the recorded values are wall-clock and legitimately differ.
-  for (const char* name :
-       {"im_engine_process_ns", "im_engine_event_accumulate_ns",
-        "im_engine_detection_latency_ns"}) {
-    const auto* hist_s = histogram_of(ss, name);
-    const auto* hist_b = histogram_of(bs, name);
-    ASSERT_NE(hist_s, nullptr) << name;
-    ASSERT_NE(hist_b, nullptr) << name;
-    EXPECT_EQ(hist_s->count, hist_b->count) << name;
+  for (const unsigned shift : {0u, 3u, 8u, 64u}) {
+    config.telemetry_sample_shift = shift;
+    Registry scalar_reg;
+    auto scalar_config = config;
+    scalar_config.registry = &scalar_reg;
+    core::InstaMeasure scalar{scalar_config};
+    for (const auto& rec : trace.packets) scalar.process(rec);
+    const auto ss = scalar_reg.snapshot();
+
+    // The scalar path times packets 0, 2^shift, 2*2^shift, ... and, at
+    // shift 0, every event.
+    const auto* process_s = histogram_of(ss, "im_engine_process_ns");
+    const auto* events_s = histogram_of(ss, "im_engine_event_accumulate_ns");
+    ASSERT_NE(process_s, nullptr);
+    ASSERT_NE(events_s, nullptr);
+    const std::uint64_t packets = all.size();
+    EXPECT_EQ(process_s->count,
+              shift >= 64 ? 0 : (packets + (1ull << shift) - 1) >> shift);
+    if (shift == 0) {
+      EXPECT_EQ(static_cast<double>(events_s->count),
+                scalar_reg.value("im_regulator_l2_saturations_total"));
+    }
+    if (shift >= 64) {
+      EXPECT_EQ(events_s->count, 0u);
+    }
+
+    for (const std::size_t batch_size : {1u, 48u, 64u, 100u}) {
+      SCOPED_TRACE("shift " + std::to_string(shift) + ", batch " +
+                   std::to_string(batch_size));
+      Registry batch_reg;
+      auto batch_config = config;
+      batch_config.registry = &batch_reg;
+      core::InstaMeasure batch{batch_config};
+      for (std::size_t off = 0; off < all.size(); off += batch_size) {
+        batch.process_batch(
+            all.subspan(off, std::min(batch_size, all.size() - off)));
+      }
+
+      EXPECT_EQ(scalar.wsaf().logical_memory_bytes(),
+                batch.wsaf().logical_memory_bytes());
+      EXPECT_EQ(core::WsafTable::logical_entry_bytes(), 33u);
+      for (const char* name :
+           {"im_regulator_packets_total", "im_regulator_l1_saturations_total",
+            "im_regulator_l2_saturations_total", "im_wsaf_accumulates_total",
+            "im_wsaf_inserts_total", "im_wsaf_updates_total",
+            "im_wsaf_evictions_total", "im_wsaf_rejected_total",
+            "im_wsaf_gc_reclaims_total", "im_wsaf_occupancy",
+            "im_engine_detections_total", "im_engine_reported_flows"}) {
+        EXPECT_DOUBLE_EQ(scalar_reg.value(name), batch_reg.value(name))
+            << name;
+      }
+
+      const auto bs = batch_reg.snapshot();
+      const auto* probe_s = histogram_of(ss, "im_wsaf_probe_length");
+      const auto* probe_b = histogram_of(bs, "im_wsaf_probe_length");
+      ASSERT_NE(probe_s, nullptr);
+      ASSERT_NE(probe_b, nullptr);
+      EXPECT_GT(probe_s->count, 0u);
+      EXPECT_EQ(probe_s->count, probe_b->count);
+      EXPECT_DOUBLE_EQ(probe_s->sum, probe_b->sum);
+
+      // Timing histograms: sample COUNTS are part of the lockstep
+      // contract; the recorded values are wall-clock and legitimately
+      // differ.
+      for (const char* name :
+           {"im_engine_process_ns", "im_engine_event_accumulate_ns",
+            "im_engine_detection_latency_ns"}) {
+        const auto* hist_s = histogram_of(ss, name);
+        const auto* hist_b = histogram_of(bs, name);
+        ASSERT_NE(hist_s, nullptr) << name;
+        ASSERT_NE(hist_b, nullptr) << name;
+        EXPECT_EQ(hist_s->count, hist_b->count) << name;
+      }
+      // Detection latency is trace-clock, not wall-clock: identical sums.
+      const auto* lat_s = histogram_of(ss, "im_engine_detection_latency_ns");
+      const auto* lat_b = histogram_of(bs, "im_engine_detection_latency_ns");
+      EXPECT_GT(lat_s->count, 0u);
+      EXPECT_DOUBLE_EQ(lat_s->sum, lat_b->sum);
+    }
   }
-  // Detection latency is trace-clock, not wall-clock: identical sums too.
-  const auto* lat_s = histogram_of(ss, "im_engine_detection_latency_ns");
-  const auto* lat_b = histogram_of(bs, "im_engine_detection_latency_ns");
-  EXPECT_GT(lat_s->count, 0u);
-  EXPECT_DOUBLE_EQ(lat_s->sum, lat_b->sum);
 }
 
 TEST(Integration, ClearDetectionsBoundsReportedSets) {
@@ -620,11 +696,9 @@ TEST(Integration, ClearDetectionsBoundsReportedSets) {
   engine.clear_detections();
   EXPECT_EQ(engine.reported_flows(), 0u);
   EXPECT_TRUE(engine.detections().empty());
-  if constexpr (kEnabled) {
-    EXPECT_EQ(registry.value("im_engine_reported_flows"), 0.0);
-    // Counters are monotone across the clear (Prometheus semantics).
-    EXPECT_GT(registry.value("im_engine_detections_total"), 0.0);
-  }
+  EXPECT_EQ(registry.value("im_engine_reported_flows"), 0.0);
+  // Counters are monotone across the clear (Prometheus semantics).
+  EXPECT_GT(registry.value("im_engine_detections_total"), 0.0);
 }
 
 }  // namespace

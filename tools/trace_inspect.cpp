@@ -10,9 +10,8 @@
 //   trace_inspect <spool-file> [--json out.trace.json]
 //   trace_inspect --demo [--spool out.imtrc] [--json out.trace.json]
 //
-// --demo synthesizes a DDoS replay with the flight recorder attached
-// (needs a telemetry-enabled build; the compiled-out build records
-// nothing and says so) so the tool is runnable without a capture.
+// --demo synthesizes a DDoS replay with the flight recorder attached so
+// the tool is runnable without a capture.
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -69,10 +68,6 @@ std::vector<telemetry::TraceEvent> run_demo(const std::string& spool_path) {
               packets.packets.size(),
               static_cast<unsigned long long>(recorder.emitted()),
               static_cast<unsigned long long>(recorder.dropped()));
-  if constexpr (!telemetry::kEnabled) {
-    std::printf("(telemetry is compiled out: rebuild with "
-                "-DINSTAMEASURE_ENABLE_TELEMETRY=ON to record events)\n");
-  }
   return collector.events();
 }
 
