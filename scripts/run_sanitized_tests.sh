@@ -16,9 +16,11 @@
 #   1. address,undefined,float-cast-overflow over the full concurrency
 #      filter (now including the WSAF layout/bucket/snapshot differential
 #      suites, whose SIMD tag-compare and byte-patching code is exactly
-#      what UBSan/ASan are for). GCC's -fsanitize=undefined leaves out
-#      float-cast-overflow (a double outside an integer type's range cast
-#      to it), so it is named explicitly;
+#      what UBSan/ASan are for, and the FlowRegulator layout-memo, RccConfig
+#      and batch-equivalence suites, which index the memo by hash bits).
+#      GCC's -fsanitize=undefined leaves out float-cast-overflow (a double
+#      outside an integer type's range cast to it), so it is named
+#      explicitly;
 #   2. thread over the MultiCore + SPSC suites, repeated 3x so the
 #      determinism test (same trace => bit-identical per-shard WSAF) gets
 #      multiple thread schedules to betray a race under;
@@ -30,7 +32,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FILTER=${1:-"Counter|Gauge|HistogramMetric|Export|Reporter|Integration|SpscQueue|MultiCore|FlightRecorder|FaultPoint|OverloadChaos|OverloadPaced|Watchdog|ReliableLink|ReliablePipeline|SnapshotChannel|QueryEngine|QueryPlane|AuditSampling|AuditDifferential|AuditConcurrency|AuditSummaryMerge|WsafBucket|WsafLayout|WsafSnapshot|WsafBucketed|WsafResize|SharedWsaf|ResizeChaos|SharedTableChaos"}
+FILTER=${1:-"Counter|Gauge|HistogramMetric|Export|Reporter|Integration|SpscQueue|MultiCore|FlightRecorder|FaultPoint|OverloadChaos|OverloadPaced|Watchdog|ReliableLink|ReliablePipeline|SnapshotChannel|QueryEngine|QueryPlane|AuditSampling|AuditDifferential|AuditConcurrency|AuditSummaryMerge|WsafBucket|WsafLayout|WsafSnapshot|WsafBucketed|WsafResize|SharedWsaf|ResizeChaos|SharedTableChaos|FlowRegulator|RccConfig|BatchEquivalence"}
 TSAN_FILTER=${TSAN_FILTER:-"MultiCore|SpscQueue|OverloadChaos|OverloadPaced|Watchdog|QueryPlane|AuditConcurrency|SharedWsafConcurrency|ResizeChaos|SharedTableChaos"}
 
 run_phase() {
@@ -41,7 +43,8 @@ run_phase() {
     test_telemetry test_spsc test_multicore test_flight_recorder \
     test_resilience test_query_engine test_audit test_wsaf_bucket \
     test_wsaf_snapshot test_wsaf_layout_equivalence test_wsaf_resize \
-    test_wsaf_shared flow_exporter >/dev/null
+    test_wsaf_shared test_flow_regulator test_rcc test_batch_equivalence \
+    flow_exporter >/dev/null
   ctest --test-dir "$build" -R "$filter" --output-on-failure -j "$(nproc)" \
     --repeat "until-fail:$repeat"
   echo "sanitized ($sanitize) test run passed"

@@ -141,7 +141,7 @@ FlowAudit* Auditor::observe_sampled(std::uint64_t sample_hash,
     if (flow.detected_pkt_ns != 0) {
       // Engine alarmed before the truth crossed (estimate ran ahead):
       // retroactively a true detection with zero delay.
-      add_relaxed(detected_true_hh_);
+      add_release(detected_true_hh_);
       tel_detect_delay_ns_.record(0);
     }
     refresh_gauges();
@@ -151,7 +151,7 @@ FlowAudit* Auditor::observe_sampled(std::uint64_t sample_hash,
     flow.byte_cross_ns = now_ns;
     add_relaxed(true_hh_);
     if (flow.detected_byte_ns != 0) {
-      add_relaxed(detected_true_hh_);
+      add_release(detected_true_hh_);
       tel_detect_delay_ns_.record(0);
     }
     refresh_gauges();
@@ -230,7 +230,7 @@ void Auditor::on_detection(const netio::FlowKey& key, bool by_bytes,
   const std::uint64_t cross_ns =
       by_bytes ? flow.byte_cross_ns : flow.pkt_cross_ns;
   if (cross_ns != 0) {
-    add_relaxed(detected_true_hh_);
+    add_release(detected_true_hh_);
     tel_detect_delay_ns_.record(now_ns > cross_ns ? now_ns - cross_ns : 0);
   }
   // else: alarm before the truth crossed — resolved retroactively in
@@ -312,8 +312,11 @@ AuditSummary Auditor::summary() const {
   for (unsigned c = 0; c < kCauseCount; ++c) {
     s.causes[c] = causes_[c].load(std::memory_order_relaxed);
   }
+  // The writer raises true_hh_ and detections_ before detected_true_hh_
+  // (release), so loading it first (acquire) bounds it by both: recall and
+  // precision never read above 1 while ingest runs.
+  s.detected_true_hh = detected_true_hh_.load(std::memory_order_acquire);
   s.true_hh = true_hh_.load(std::memory_order_relaxed);
-  s.detected_true_hh = detected_true_hh_.load(std::memory_order_relaxed);
   s.detections = detections_.load(std::memory_order_relaxed);
   if (s.comparisons > 0) {
     s.are = s.sum_abs_rel_err / static_cast<double>(s.comparisons);

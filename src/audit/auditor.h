@@ -236,6 +236,12 @@ class Auditor {
     cell.store(cell.load(std::memory_order_relaxed) + delta,
                std::memory_order_relaxed);
   }
+  /// Same, publishing every earlier write to a reader that loads the cell
+  /// with acquire (summary() orders detected_true_hh_ this way).
+  static void add_release(std::atomic<std::uint64_t>& cell) {
+    cell.store(cell.load(std::memory_order_relaxed) + 1,
+               std::memory_order_release);
+  }
 
   AuditConfig config_;
   std::uint64_t sample_mask_ = 0;   ///< high bits; 0 samples everything

@@ -7,6 +7,10 @@ FlowRegulator::FlowRegulator(const FlowRegulatorConfig& config)
       l1_(config.layer_config()),
       noise_min_(config.noise_min),
       last_len_(l1_.n_words(), 0),
+      // Every entry starts tagged 0 and holding hash 0's layout, so the one
+      // hash that can match a fresh entry finds the right layout in it.
+      memo_(std::size_t{1} << kLayoutMemoBits,
+            MemoEntry{0, l1_.layout_of(0)}),
       trace_(config.trace),
       trace_track_(config.trace_track) {
   if (config.registry != nullptr) {

@@ -11,6 +11,10 @@
 //
 // The multiplicative two-layer design is what turns RCC's ~12–19% regulation
 // rate into the ~1% the in-DRAM WSAF needs (Figs 1, 7, 8).
+//
+// Deriving a layout from the hash is most of a packet's cost when the
+// sketch sits in cache, so recent layouts are memoized (layout_of): one
+// cache-resident read in place of b + 1 mix64 rounds for a recurring flow.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +26,12 @@
 #include "telemetry/trace.h"
 
 namespace instameasure::core {
+
+/// log2 of the layout memo's entry count (see FlowRegulator::layout_of).
+/// Packet-path hit rates on the benchmark's `caida` worker 0 (seed 1):
+/// 2^10 → 0.740, 2^12 → 0.855, 2^14 → 0.938. 2^12 entries of 96 bytes are
+/// 384 KB, beside the 128 KB of sketch they serve.
+inline constexpr unsigned kLayoutMemoBits = 12;
 
 struct FlowRegulatorConfig {
   /// L1 word-array size in bytes. Every L2 bank is the same size, so total
@@ -80,10 +90,21 @@ class FlowRegulator {
       std::uint64_t flow_hash, std::uint16_t wire_len,
       const sketch::VvLayout& layout) noexcept;
 
-  /// The flow's virtual-vector layout (shared by L1 and every L2 bank).
-  [[nodiscard]] sketch::VvLayout layout_of(
-      std::uint64_t flow_hash) const noexcept {
-    return l1_.layout_of(flow_hash);
+  /// The flow's virtual-vector layout (shared by L1 and every L2 bank),
+  /// through the layout memo: a direct-mapped table indexed by the hash's
+  /// top kLayoutMemoBits bits, tagged with the full hash. A hit returns the
+  /// stored layout; a miss derives it (b + 1 mix64 rounds) and overwrites
+  /// the entry. A layout depends only on hash, seed and geometry, so the
+  /// result equals l1_.layout_of(flow_hash) either way and reset() keeps
+  /// the memo. Only the packet path goes through it; the residual queries
+  /// derive layouts directly and stay const.
+  [[nodiscard]] sketch::VvLayout layout_of(std::uint64_t flow_hash) noexcept {
+    auto& entry = memo_[flow_hash >> (64 - kLayoutMemoBits)];
+    if (entry.flow_hash != flow_hash) {
+      entry.flow_hash = flow_hash;
+      entry.layout = l1_.layout_of(flow_hash);
+    }
+    return entry.layout;
   }
 
   /// Prefetch the cache lines offer() unconditionally touches for this
@@ -129,9 +150,13 @@ class FlowRegulator {
   [[nodiscard]] const FlowRegulatorConfig& config() const noexcept {
     return config_;
   }
+  /// Everything the regulator allocates: the sketch layers, the per-word
+  /// length samples and the layout memo. The paper's budget is
+  /// config().total_memory_bytes(), the sketch layers alone.
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return config_.total_memory_bytes() +
-           last_len_.size() * sizeof(std::uint16_t);
+           last_len_.size() * sizeof(std::uint16_t) +
+           memo_.size() * sizeof(MemoEntry);
   }
 
   void reset() noexcept;
@@ -144,6 +169,12 @@ class FlowRegulator {
   /// Last wire length seen per L1 word: the byte-sampling state for the
   /// residual flush (the event path samples the triggering packet directly).
   std::vector<std::uint16_t> last_len_;
+  /// Layout memo: derived values only, so it never changes a count.
+  struct MemoEntry {
+    std::uint64_t flow_hash;
+    sketch::VvLayout layout;
+  };
+  std::vector<MemoEntry> memo_;
   // Each count is counted once, in its exported counter (a single-writer
   // cell; see telemetry/metrics.h). reset() moves the accessors' baseline
   // instead of rewinding the cell, so the exported series stay monotone.

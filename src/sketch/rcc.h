@@ -50,6 +50,8 @@ struct RccConfig {
 
 class RccSketch {
  public:
+  /// Throws std::invalid_argument unless 2 <= vv_bits <= 64,
+  /// noise_min >= 1 and noise_min <= effective_noise_max() < vv_bits.
   explicit RccSketch(const RccConfig& config);
 
   /// Layout for a flow hash under this sketch's geometry. In the two-layer

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/flow_regulator.h"
+#include "core/multilayer_regulator.h"
 #include "util/rng.h"
 
 namespace instameasure::sketch {
@@ -34,6 +38,69 @@ TEST(RccConfig, WordCountFromBytes) {
   EXPECT_EQ(config.n_words(), 128u);
   config.memory_bytes = 0;
   EXPECT_EQ(config.n_words(), 1u) << "degenerate config still usable";
+}
+
+/// The sketch must refuse `config` with an invalid_argument naming `what`.
+void expect_rejected(const RccConfig& config, const std::string& what) {
+  try {
+    RccSketch sketch{config};
+    ADD_FAILURE() << "accepted an RccConfig with bad " << what;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(RccConfig, RejectsVectorBitsOutOfRange) {
+  RccConfig config = small_config();
+  config.vv_bits = 65;  // make_layout would probe a full word forever
+  expect_rejected(config, "vv_bits must be in [2, 64] (got 65)");
+  config.vv_bits = 1;
+  expect_rejected(config, "vv_bits must be in [2, 64] (got 1)");
+}
+
+TEST(RccConfig, RejectsZeroNoiseMin) {
+  RccConfig config = small_config();
+  config.noise_min = 0;
+  expect_rejected(config, "noise_min must be >= 1 (got 0)");
+}
+
+TEST(RccConfig, RejectsNoiseMaxBelowNoiseMin) {
+  RccConfig config = small_config();
+  config.noise_min = 3;
+  config.noise_max = 2;
+  expect_rejected(config, "noise_max must be >= noise_min (got noise_max 2");
+  config.noise_max = 0;  // derived 3b/8 = 1 for b = 4
+  config.vv_bits = 4;
+  expect_rejected(config, "noise_max must be >= noise_min (got noise_max 1");
+}
+
+TEST(RccConfig, RejectsNoiseMaxAtVectorBits) {
+  RccConfig config = small_config();
+  config.noise_max = 8;
+  expect_rejected(config, "noise_max must be < vv_bits (got noise_max 8");
+}
+
+TEST(RccConfig, RegulatorsRejectInvalidConfigs) {
+  // Both regulators build their layers as RccSketches, so both throw
+  // before they size any bank from a bad config (noise_min > noise_max
+  // would underflow FlowRegulatorConfig::banks()).
+  core::FlowRegulatorConfig fr;
+  fr.noise_min = 4;
+  fr.noise_max = 3;
+  EXPECT_THROW(core::FlowRegulator{fr}, std::invalid_argument);
+  core::MultiLayerConfig ml;
+  ml.vv_bits = 65;
+  EXPECT_THROW(core::MultiLayerRegulator{ml}, std::invalid_argument);
+}
+
+TEST(RccConfig, AcceptsTheBoundaryConfigs) {
+  for (const unsigned bits : {2u, 64u}) {
+    RccConfig config = small_config();
+    config.vv_bits = bits;
+    config.noise_max = bits - 1;
+    EXPECT_NO_THROW(RccSketch{config}) << "vv_bits " << bits;
+  }
 }
 
 TEST(RccSketch, SingleFlowSaturatesEventually) {
