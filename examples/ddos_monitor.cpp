@@ -211,8 +211,13 @@ int run_live_capture(const util::CliArgs& args, const std::string& iface) {
 
   std::atomic<bool> done{false};
   runtime::RunStats stats;
+  std::string failure;  // run_source's error (a bad --seconds), read after join
   std::thread runner([&] {
-    stats = engine.run_source(source, run_config);
+    try {
+      stats = engine.run_source(source, run_config);
+    } catch (const std::exception& e) {
+      failure = e.what();
+    }
     done.store(true, std::memory_order_release);
   });
   const auto t0 = std::chrono::steady_clock::now();
@@ -232,6 +237,10 @@ int run_live_capture(const util::CliArgs& args, const std::string& iface) {
     std::printf("\n");
   }
   runner.join();
+  if (!failure.empty()) {
+    std::fprintf(stderr, "ddos_monitor: %s\n", failure.c_str());
+    return 1;
+  }
 
   std::printf("\ncapture done: %llu packets (%.2f Mpps), kernel dropped "
               "%llu, undecodable %llu, fragments %llu, truncated %llu\n",

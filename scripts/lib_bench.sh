@@ -1,6 +1,7 @@
-# Shared helpers for the Release-build benchmark scripts
-# (check_batch_speedup.sh, check_query_overhead.sh,
-# run_bench_trajectory.sh). Source after cd'ing to the repo root:
+# Shared helpers for the Release-build benchmark gate scripts
+# (check_batch_speedup.sh, check_query_overhead.sh, check_audit_overhead.sh,
+# check_wsaf_lookup.sh, check_resize_pause.sh). Source after cd'ing to the
+# repo root:
 #   cd "$(dirname "$0")/.."
 #   source scripts/lib_bench.sh
 # Callers are `set -euo pipefail`; every helper returns nonzero on failure.
@@ -61,62 +62,5 @@ if ratio < floor:
     print(f"FAIL: {fail_msg}")
     sys.exit(1)
 print(f"OK: {ok_msg}")
-EOF
-}
-
-# bench_validate_trajectory <BENCH_*.json>: assert the document parses as
-# JSON and matches the trajectory schema (analysis/trajectory.h, v1 or v2)
-# — required top-level keys, a non-empty run matrix, and per-run throughput
-# plus a perf block that is either real counters or explicit
-# "unavailable". v2 runs must additionally carry an accuracy object with an
-# explicit enabled flag and sane ARE/recall/precision ranges; v3 runs add
-# a source tag and an io block that is live exactly for source-driven
-# runs. The same contract bench_trajectory self-checks; this re-validates
-# the bytes that actually landed on disk.
-bench_validate_trajectory() {
-  python3 - "$1" <<'EOF'
-import json
-import sys
-
-path = sys.argv[1]
-with open(path) as f:
-    doc = json.load(f)
-version = doc["schema_version"]
-assert version in (1, 2, 3), f"schema_version {version}"
-for key in ("benchmark", "created_utc", "git_sha", "host", "config", "runs"):
-    assert key in doc, f"missing key: {key}"
-assert doc["runs"], "empty run matrix"
-for run in doc["runs"]:
-    assert run["mpps"] > 0, f"non-positive mpps in {run['name']}"
-    perf = run["perf"]
-    if perf["available"]:
-        assert isinstance(perf["counters"], dict), "available but no counters"
-    else:
-        assert perf["counters"] == "unavailable", "unavailable must be explicit"
-    if version >= 2:
-        acc = run["accuracy"]
-        assert isinstance(acc, dict), f"accuracy not an object in {run['name']}"
-        assert isinstance(acc["enabled"], bool), "accuracy.enabled not a bool"
-        if acc["enabled"]:
-            assert acc["comparisons"] > 0, f"audit on but 0 comparisons in {run['name']}"
-            assert acc["are"] >= 0, f"negative ARE in {run['name']}"
-            assert 0 <= acc["recall"] <= 1, f"recall out of range in {run['name']}"
-            assert 0 <= acc["precision"] <= 1, f"precision out of range in {run['name']}"
-    if version >= 3:
-        assert run["source"] in ("direct", "replay", "pcap", "afpacket"), \
-            f"bad source tag in {run['name']}"
-        io = run["io"]
-        assert isinstance(io["enabled"], bool), "io.enabled not a bool"
-        assert (run["source"] == "direct") == (not io["enabled"]), \
-            f"io.enabled inconsistent with source in {run['name']}"
-        if io["enabled"]:
-            assert io["received"] > 0, f"io on but 0 received in {run['name']}"
-first = doc["runs"][0]
-audit = "off"
-if version >= 2 and first["accuracy"]["enabled"]:
-    audit = f"are={first['accuracy']['are']:.4f}"
-print(f"{path}: schema v{version} OK, {len(doc['runs'])} runs, "
-      f"perf {'available' if first['perf']['available'] else 'unavailable'}, "
-      f"audit {audit}")
 EOF
 }

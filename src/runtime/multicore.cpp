@@ -5,6 +5,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cstdio>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -230,6 +231,19 @@ MultiCoreEngine::~MultiCoreEngine() = default;
 
 RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
                                      const SourceRunConfig& config) {
+  // The deadline is an int64 count of steady_clock ticks: NaN never
+  // reaches it and a larger budget overflows the cast into one.
+  const double max_budget_s = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::duration::max())
+                                  .count();
+  if (!(config.max_seconds >= 0 && config.max_seconds < max_budget_s)) {
+    char got[32];
+    std::snprintf(got, sizeof got, "%g", config.max_seconds);
+    throw std::invalid_argument(
+        std::string{"SourceRunConfig: max_seconds must be finite, >= 0 and "
+                    "below ~9.2e9 s (got "} +
+        got + ")");
+  }
   const unsigned n = workers();
   const OverloadConfig& ov = config_.overload;
   // Items carry records BY VALUE: a source's burst buffer is reused on the
@@ -595,10 +609,14 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
   std::array<netio::PacketRecord, 256> burst;
   std::uint64_t delivered = 0;
   const bool timed = config.max_seconds > 0;
+  // Saturate: a budget of billions of seconds may not fit past `start`.
+  const auto budget =
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(config.max_seconds));
   const auto deadline =
-      start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(
-                      timed ? config.max_seconds : 0.0));
+      budget < std::chrono::steady_clock::time_point::max() - start
+          ? start + budget
+          : std::chrono::steady_clock::time_point::max();
   const auto stop_threads = [&] {
     done.store(true, std::memory_order_release);
     for (auto& t : workers) t.join();

@@ -217,7 +217,10 @@ class MultiCoreEngine {
   ///   offered(delivered) == processed + dropped + shed
   /// exact, and kernel drops/skips reported separately. An exception from
   /// the source (a corrupt pcap record) is rethrown after every thread of
-  /// the run has been stopped and joined.
+  /// the run has been stopped and joined. Throws std::invalid_argument
+  /// (naming the value) before any thread starts when config.max_seconds
+  /// is NaN, negative, infinite, or beyond what a steady_clock deadline
+  /// can hold (~9.2e9 s).
   RunStats run_source(netio::PacketSource& source,
                       const SourceRunConfig& config);
   RunStats run_source(netio::PacketSource& source) {

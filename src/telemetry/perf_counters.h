@@ -14,8 +14,8 @@
 // Graceful degradation is the contract: in a container, without
 // CAP_PERFMON, with perf_event_paranoid locked down, or on a VM with no
 // PMU, every open fails and the whole layer reports `unavailable` —
-// available() is false, readings carry available=false per counter, the
-// BENCH_*.json trajectory writes the literal string "unavailable", and the
+// available() is false, readings carry available=false per counter, no
+// im_perf_* gauge is exported (never a zero posing as a reading), and the
 // engine hot path pays exactly one relaxed load per chunk to find that
 // out. Counters that individually fail to open (e.g. HW_CACHE events
 // missing on some hypervisors) degrade per-counter, not whole-group.
@@ -23,7 +23,7 @@
 // Threading: a group counts the thread that OPENED it (pid=0, cpu=-1).
 // Construct the group/profiler on the thread whose work you measure; the
 // multi-core runtime would need one profiler per worker (not wired yet —
-// bench_trajectory and the tests drive single-threaded engines).
+// the tests drive single-threaded engines).
 //
 // Non-Linux hosts, where the syscall does not exist, get empty stubs with
 // the identical API (kPerfEnabled is false there). On Linux the off switch
@@ -153,8 +153,7 @@ inline constexpr std::uint32_t kPerfTraceItemsField = 0;
 }
 
 /// Per-stage accumulated deltas plus the item (packet/event) count they
-/// cover. The profiler exposes these for offline reporting
-/// (bench_trajectory serializes them into BENCH_*.json).
+/// cover, exposed for offline reporting.
 struct PerfStageTotals {
   PerfReading counters;
   std::uint64_t items = 0;    ///< packets (or WSAF events for kWsafDrain)
@@ -227,8 +226,8 @@ struct PerfProfilerConfig {
   /// Every 2^sample_shift-th chunk is bracketed with counter reads (4
   /// read(2) syscalls per sampled chunk). At the default 1/16 over
   /// 64-packet chunks that is one syscall per ~256 packets — <1% of the
-  /// per-packet budget — while a full trajectory run still lands
-  /// thousands of samples per stage.
+  /// per-packet budget — while a run of a few million packets still
+  /// lands thousands of samples per stage.
   unsigned sample_shift = 4;
   /// When set, the derived im_perf_* gauges are exported here (with
   /// `labels` on every series, stage="..." on the per-stage variants).

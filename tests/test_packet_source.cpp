@@ -16,9 +16,11 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "netio/afpacket.h"
@@ -310,6 +312,41 @@ TEST(RunSource, MaxPacketsBoundsDelivery) {
   EXPECT_EQ(stats.packets, 1000u);
   EXPECT_EQ(stats.processed, 1000u);
   EXPECT_FALSE(source.exhausted());
+}
+
+// NaN never reaches a deadline and a budget past the steady_clock's range
+// overflows it: each is refused, naming the value, before a packet moves.
+TEST(RunSource, RejectsInvalidMaxSeconds) {
+  const auto trace = test_trace();
+  runtime::MultiCoreEngine engine{small_config(2)};
+  const std::pair<double, const char*> bad[] = {
+      {std::numeric_limits<double>::quiet_NaN(), "nan"},
+      {std::numeric_limits<double>::infinity(), "inf"},
+      {-std::numeric_limits<double>::infinity(), "-inf"},
+      {-1.0, "-1"},
+      {1e300, "1e+300"},
+  };
+  for (const auto& [seconds, printed] : bad) {
+    ReplaySource source{std::span<const PacketRecord>{trace.packets}};
+    runtime::SourceRunConfig config;
+    config.max_seconds = seconds;
+    try {
+      (void)engine.run_source(source, config);
+      ADD_FAILURE() << "max_seconds " << printed << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(printed), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(source.stats().received, 0u) << printed;
+  }
+  for (const double seconds : {0.0, 0.5}) {
+    ReplaySource source{std::span<const PacketRecord>{trace.packets}};
+    runtime::SourceRunConfig config;
+    config.max_seconds = seconds;
+    const auto stats = engine.run_source(source, config);
+    EXPECT_EQ(stats.packets, trace.packets.size()) << seconds;
+    EXPECT_EQ(stats.processed, trace.packets.size()) << seconds;
+  }
 }
 
 /// A pcap savefile of `records` in the temp dir, removed on destruction.

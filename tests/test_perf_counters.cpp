@@ -1,5 +1,4 @@
-// Tests for the hardware perf-counter layer (telemetry/perf_counters.h)
-// and the BENCH_*.json trajectory schema (analysis/trajectory.h).
+// Tests for the hardware perf-counter layer (telemetry/perf_counters.h).
 //
 // The central contract under test is graceful degradation: this suite must
 // pass IDENTICALLY on a bare-metal host with a live PMU, in a CI container
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "analysis/stage_latency.h"
-#include "analysis/trajectory.h"
 #include "core/instameasure.h"
 #include "telemetry/export.h"
 #include "telemetry/metrics.h"
@@ -209,153 +207,6 @@ TEST(PerfStageProfiler, CompiledOutStubIsInert) {
     EXPECT_EQ(group.error(),
               "perf_event_open unavailable on this platform");
   }
-}
-
-// ------------------------------------------------------------ trajectory
-
-analysis::TrajectoryRun fake_run(const std::string& name, bool with_perf) {
-  analysis::TrajectoryRun run;
-  run.name = name;
-  run.mode = name == "scalar" ? "scalar" : "batch";
-  run.batch = name == "scalar" ? 0 : 32;
-  run.packets = 1 << 20;
-  run.elapsed_s = 0.25;
-  run.mpps = 4.2;
-  if (with_perf) {
-    run.perf_available = true;
-    run.counters[PerfCounterId::kCycles] = {1e9, true};
-    run.counters[PerfCounterId::kInstructions] = {2e9, true};
-    run.counters[PerfCounterId::kLlcLoadMisses] = {1e6, true};
-    PerfStageTotals totals;
-    totals.counters = run.counters;
-    totals.items = 1 << 18;
-    totals.samples = 1 << 12;
-    run.sampled_packets = 1 << 18;
-    run.sampled_chunks = 1 << 12;
-    run.stages.push_back({"hash_layout", totals});
-    run.stages.push_back({"regulator_update", totals});
-  } else {
-    run.perf_error = "perf_event_open: Permission denied";
-  }
-  return run;
-}
-
-analysis::TrajectoryMeta fake_meta() {
-  analysis::TrajectoryMeta meta;
-  meta.created_utc = analysis::utc_timestamp_now();
-  meta.git_sha = "deadbeef";
-  meta.host = analysis::collect_host_info();
-  meta.l1_memory_bytes = 512ull << 20;
-  meta.wsaf_log2_entries = 20;
-  meta.flows = 1ull << 23;
-  meta.packets_per_run = 1ull << 24;
-  meta.seed = 4;
-  meta.sample_shift = 4;
-  return meta;
-}
-
-TEST(Trajectory, BuiltDocumentValidates) {
-  const std::vector<analysis::TrajectoryRun> runs = {
-      fake_run("scalar", false), fake_run("batch32", true)};
-  const auto json = analysis::build_trajectory_json(fake_meta(), runs);
-  std::string err;
-  EXPECT_TRUE(analysis::validate_trajectory_json(json, &err)) << err;
-  // Degradation is explicit, never zero-filled.
-  EXPECT_NE(json.find("\"counters\": \"unavailable\""), std::string::npos);
-  EXPECT_NE(json.find("perf_event_open: Permission denied"),
-            std::string::npos);
-  // The live run carries real numbers and derived rates.
-  EXPECT_NE(json.find("\"ipc\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"stages\": ["), std::string::npos);
-  EXPECT_NE(json.find("\"git_sha\": \"deadbeef\""), std::string::npos);
-}
-
-TEST(Trajectory, HostErrorStringsAreEscaped) {
-  auto run = fake_run("scalar", false);
-  run.perf_error = "line1\nline2\t\"quoted\"";
-  auto meta = fake_meta();
-  meta.host.cpu = "Weird \"CPU\"\n model";
-  const auto json = analysis::build_trajectory_json(
-      meta, std::vector<analysis::TrajectoryRun>{run});
-  std::string err;
-  EXPECT_TRUE(analysis::validate_trajectory_json(json, &err)) << err;
-}
-
-TEST(Trajectory, ValidatorRejectsGarbage) {
-  std::string err;
-  EXPECT_FALSE(analysis::validate_trajectory_json("", &err));
-  EXPECT_FALSE(analysis::validate_trajectory_json("[1,2,3]", &err));
-  EXPECT_FALSE(analysis::validate_trajectory_json("{\"a\": }", &err));
-  EXPECT_FALSE(analysis::validate_trajectory_json("{\"a\": 1} trailing",
-                                                  &err));
-  // Well-formed but missing required keys / wrong schema version.
-  EXPECT_FALSE(analysis::validate_trajectory_json("{\"schema_version\": 1}",
-                                                  &err));
-  auto doc = analysis::build_trajectory_json(
-      fake_meta(), std::vector<analysis::TrajectoryRun>{});
-  const std::string version_field =
-      "\"schema_version\": " +
-      std::to_string(analysis::kTrajectorySchemaVersion);
-  const auto pos = doc.find(version_field);
-  ASSERT_NE(pos, std::string::npos);
-  doc.replace(pos, version_field.size(), "\"schema_version\": 999");
-  EXPECT_FALSE(analysis::validate_trajectory_json(doc, &err));
-}
-
-TEST(Trajectory, ValidatorAcceptsV1Documents) {
-  // Pre-accuracy documents (schema v1: no per-run accuracy block) remain
-  // valid history — the trajectory's whole point is comparison across
-  // commits.
-  const std::string v1 =
-      "{\"schema_version\": 1, \"benchmark\": \"bench_trajectory\", "
-      "\"created_utc\": \"2026-01-01T00:00:00Z\", \"git_sha\": \"abc\", "
-      "\"host\": {\"hostname\": \"h\"}, \"config\": {}, \"runs\": ["
-      "{\"name\": \"scalar\", \"mpps\": 1.0}]}";
-  std::string err;
-  EXPECT_TRUE(analysis::validate_trajectory_json(v1, &err)) << err;
-}
-
-TEST(Trajectory, CorruptAccuracyBlockIsBadInput) {
-  auto run = fake_run("batch32", true);
-  run.accuracy.enabled = true;
-  run.accuracy.sample_shift = 8;
-  run.accuracy.comparisons = 10;
-  run.accuracy.are = 0.01;
-  run.accuracy.recall = 1.0;
-  run.accuracy.precision = 1.0;
-  const auto json = analysis::build_trajectory_json(
-      fake_meta(), std::vector<analysis::TrajectoryRun>{run});
-  std::string err;
-  ASSERT_TRUE(analysis::validate_trajectory_json(json, &err)) << err;
-  ASSERT_NE(json.find("\"accuracy\": {\"enabled\": true"),
-            std::string::npos);
-
-  // A well-formed document whose accuracy member lost a required key must
-  // fail validation (BadInput), not slide through as "extra data".
-  auto missing_key = json;
-  const auto are_pos = missing_key.find("\"are\":");
-  ASSERT_NE(are_pos, std::string::npos);
-  missing_key.replace(are_pos, 6, "\"axe\":");
-  EXPECT_FALSE(analysis::validate_trajectory_json(missing_key, &err));
-  EXPECT_NE(err.find("accuracy"), std::string::npos) << err;
-
-  // Accuracy replaced wholesale by a scalar: still well-formed JSON, still
-  // rejected.
-  auto scalar = json;
-  const auto start = scalar.find("\"accuracy\": {");
-  ASSERT_NE(start, std::string::npos);
-  const auto end = scalar.find("}}", start);  // causes + accuracy close
-  ASSERT_NE(end, std::string::npos);
-  scalar.replace(start, end + 2 - start, "\"accuracy\": 42");
-  EXPECT_FALSE(analysis::validate_trajectory_json(scalar, &err));
-  EXPECT_NE(err.find("accuracy"), std::string::npos) << err;
-}
-
-TEST(Trajectory, EmptyRunMatrixStillValidates) {
-  const auto json = analysis::build_trajectory_json(
-      fake_meta(), std::vector<analysis::TrajectoryRun>{});
-  std::string err;
-  EXPECT_TRUE(analysis::validate_trajectory_json(json, &err)) << err;
 }
 
 }  // namespace

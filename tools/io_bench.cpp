@@ -1,35 +1,42 @@
-// io_bench: source-fed engine benchmark — the BENCH harness for the packet
-// I/O plane.
+// io_bench: source-fed engine benchmark for the packet I/O plane.
 //
-// Where bench_trajectory times the engine against a preloaded in-memory
-// pool, io_bench drives MultiCoreEngine::run_source from a real
-// PacketSource — a live AF_PACKET socket (paired with tools/pktgen on the
-// other end of a veth), a pcap savefile, or the in-memory replayer as the
-// privilege-free baseline — and writes one schema-v3 BENCH_*.json document
-// whose per-run `source` tag and `io` block record how the packets reached
-// the engine: sustained Mpps beside kernel drops, undecodable frames, and
-// fragment/truncation repairs.
+// Drives MultiCoreEngine::run_source from a real PacketSource — a live
+// AF_PACKET socket (paired with tools/pktgen on the other end of a veth), a
+// pcap savefile, or the in-memory replayer as the privilege-free baseline —
+// and prints, as its last stdout line, one JSON result in the repo
+// benchmark's shape (benchmark/README.md, "Output"):
+//
+//   {"correct": true, "attempted": N, "failed": 0,
+//    "metrics": {"runtime.throughput_mpps": {"value": V, "unit": "Mpps"}, ...}}
+//
+// `attempted` is the records the source delivered and `failed` those the
+// engine neither processed, queue-dropped nor shed; `correct` is false when
+// that accounting does not balance. Metrics reuse the benchmark's names
+// where the definitions match, and add the capture plane's counts under
+// netio.* (kernel drops, undecodable frames, fragment/truncation repairs).
 //
 // Usage: io_bench [--source replay|pcap|afpacket] [--interface IF]
 //                 [--pcap FILE] [--workers N] [--packets N]
 //                 [--max-seconds S] [--policy block|droptail|shed] [--pace]
 //                 [--speed X] [--scale S] [--seed N] [--l1-mb N]
-//                 [--wsaf-log2 N] [--out FILE] [--git-sha SHA] [--smoke]
+//                 [--wsaf-log2 N] [--smoke]
 //
 //   afpacket needs CAP_NET_RAW; without it the tool reports the socket
 //   error and exits 1 (replay/pcap run anywhere). --smoke shrinks the
-//   replay workload to a seconds-long CI configuration.
-#include <chrono>
+//   replay workload to a seconds-long CI configuration. Every number flag
+//   must be finite. Exit status: 0 when the run's accounting balances, 1
+//   when it does not or the run could not start, 2 on a usage error.
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "analysis/trajectory.h"
 #include "netio/afpacket.h"
 #include "netio/source.h"
 #include "runtime/multicore.h"
@@ -53,9 +60,33 @@ struct Options {
   std::uint64_t seed = 42;
   std::size_t l1_mb = 64;
   unsigned wsaf_log2 = 18;
-  std::string out = "BENCH_io.json";
-  std::string git_sha;
 };
+
+struct Metric {
+  const char* name;
+  const char* unit;
+  double value;
+};
+
+/// The benchmark's result line: {"correct", "attempted", "failed",
+/// "metrics": {name: {"value", "unit"}}}, values in shortest round-trip form.
+std::string result_line(bool correct, std::uint64_t attempted,
+                        std::uint64_t failed, std::span<const Metric> metrics) {
+  std::string out = std::string{"{\"correct\": "} +
+                    (correct ? "true" : "false") +
+                    ", \"attempted\": " + std::to_string(attempted) +
+                    ", \"failed\": " + std::to_string(failed) +
+                    ", \"metrics\": {";
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    char value[64];
+    const auto end =
+        std::to_chars(value, value + sizeof value, metrics[i].value).ptr;
+    out += (i ? ", \"" : "\"") + std::string{metrics[i].name} +
+           "\": {\"value\": " + std::string{value, end} + ", \"unit\": \"" +
+           metrics[i].unit + "\"}";
+  }
+  return out + "}}";
+}
 
 [[noreturn]] void usage_error(const char* msg) {
   std::fprintf(stderr,
@@ -64,7 +95,7 @@ struct Options {
                "[--interface IF] [--pcap FILE] [--workers N] [--packets N] "
                "[--max-seconds S] [--policy block|droptail|shed] [--pace] "
                "[--speed X] [--scale S] [--seed N] [--l1-mb N] "
-               "[--wsaf-log2 N] [--out FILE] [--git-sha SHA] [--smoke]\n",
+               "[--wsaf-log2 N] [--smoke]\n",
                msg);
   std::exit(2);
 }
@@ -73,8 +104,6 @@ struct Options {
 
 int main(int argc, char** argv) {
   Options opt;
-  const char* env_sha = std::getenv("IM_GIT_SHA");
-  if (env_sha != nullptr) opt.git_sha = env_sha;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
@@ -107,10 +136,6 @@ int main(int argc, char** argv) {
       opt.l1_mb = std::strtoull(next(), nullptr, 0);
     } else if (arg == "--wsaf-log2") {
       opt.wsaf_log2 = static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
-    } else if (arg == "--out") {
-      opt.out = next();
-    } else if (arg == "--git-sha") {
-      opt.git_sha = next();
     } else if (arg == "--smoke") {
       opt.scale = 0.002;
       opt.l1_mb = 4;
@@ -132,13 +157,19 @@ int main(int argc, char** argv) {
   if (opt.source == "afpacket" && opt.interface.empty()) {
     usage_error("--source afpacket requires --interface IF");
   }
-  if (opt.source == "afpacket" && opt.packets == 0 && opt.max_seconds <= 0) {
-    usage_error("a live source needs --packets or --max-seconds to stop");
+  if (!(std::isfinite(opt.max_seconds) && opt.max_seconds >= 0)) {
+    usage_error("--max-seconds must be a finite number >= 0");
   }
-  if (!std::isfinite(opt.speed) || opt.speed <= 0) {
+  if (!(std::isfinite(opt.speed) && opt.speed > 0)) {
     usage_error("--speed must be a finite number > 0");
   }
-  if (opt.workers == 0 || opt.l1_mb == 0 || opt.scale <= 0 || opt.scale > 1) {
+  if (!(std::isfinite(opt.scale) && opt.scale > 0 && opt.scale <= 1)) {
+    usage_error("--scale must be a finite number in (0, 1]");
+  }
+  if (opt.source == "afpacket" && opt.packets == 0 && opt.max_seconds == 0) {
+    usage_error("a live source needs --packets or --max-seconds to stop");
+  }
+  if (opt.workers == 0 || opt.l1_mb == 0) {
     usage_error("invalid configuration");
   }
   runtime::OverloadPolicy policy = runtime::OverloadPolicy::kBlock;
@@ -150,18 +181,12 @@ int main(int argc, char** argv) {
     usage_error("--policy must be block, droptail, or shed");
   }
 
-  // Build the source. The replay workload also parameterizes the meta
-  // block; file/live sources leave those fields 0 (they describe the
-  // engine, not a synthetic population).
   trace::Trace replay_trace;
   std::unique_ptr<netio::PacketSource> source;
-  std::uint64_t meta_flows = 0;
   try {
     if (opt.source == "replay") {
-      const auto config = trace::caida_like_config(opt.scale, opt.seed);
-      replay_trace = trace::generate(config);
-      meta_flows = config.mice.n_flows;
-      for (const auto& tier : config.tiers) meta_flows += tier.count;
+      replay_trace =
+          trace::generate(trace::caida_like_config(opt.scale, opt.seed));
       netio::ReplaySource::Config rc;
       rc.pace_by_timestamps = opt.pace;
       rc.speed = opt.speed;
@@ -204,51 +229,41 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "io_bench: %s\n", e.what());
     return 1;
   }
-  const auto source_stats = source->stats();
+  const auto bursts = source->stats().bursts;
 
-  analysis::TrajectoryRun run;
-  run.name = "io_" + opt.source;
-  run.mode = config.batched ? "batch" : "scalar";
-  run.source = stats.source;
-  run.batch = 64;  // worker burst size
-  run.packets = stats.packets;
-  run.elapsed_s = stats.wall_seconds;
-  run.mpps = stats.mpps;
-  run.perf_available = false;
-  run.perf_error = "run_source harness does not scope perf counters";
-  run.io.enabled = true;
-  run.io.received = stats.packets;
-  run.io.kernel_dropped = stats.io_kernel_dropped;
-  run.io.skipped = stats.io_skipped;
-  run.io.fragments = stats.io_fragments;
-  run.io.truncated = stats.io_truncated;
-  run.io.bursts = source_stats.bursts;
-  run.io.wait_cycles = stats.io_wait_cycles;
+  const std::uint64_t accounted = stats.processed + stats.dropped + stats.shed;
+  const bool correct = accounted == stats.packets;
+  const std::uint64_t failed =
+      stats.packets > accounted ? stats.packets - accounted : 0;
+  const auto count = [](std::uint64_t v) { return static_cast<double>(v); };
+  const auto ratio = [](double num, double den) {
+    return den > 0 ? num / den : 0.0;
+  };
+  const Metric metrics[] = {
+      {"runtime.throughput_mpps", "Mpps", stats.mpps},
+      {"runtime.producer_stalls_per_kpkt", "count",
+       ratio(count(stats.producer_stalls) * 1e3, count(stats.processed))},
+      {"runtime.worker_share_max", "ratio",
+       ratio(count(*std::max_element(stats.per_worker_packets.begin(),
+                                     stats.per_worker_packets.end())),
+             count(stats.processed))},
+      {"runtime.worker_busy_min", "ratio",
+       *std::min_element(stats.worker_busy_fraction.begin(),
+                         stats.worker_busy_fraction.end())},
+      {"runtime.queue_depth_max", "count",
+       count(*std::max_element(stats.max_queue_depth.begin(),
+                               stats.max_queue_depth.end()))},
+      {"runtime.dropped", "count", count(stats.dropped)},
+      {"runtime.shed", "count", count(stats.shed)},
+      {"netio.burst_records_mean", "count",
+       ratio(count(stats.packets), count(bursts))},
+      {"netio.received", "count", count(stats.packets)},
+      {"netio.kernel_dropped", "count", count(stats.io_kernel_dropped)},
+      {"netio.skipped", "count", count(stats.io_skipped)},
+      {"netio.fragments", "count", count(stats.io_fragments)},
+      {"netio.truncated", "count", count(stats.io_truncated)},
+  };
 
-  analysis::TrajectoryMeta meta;
-  meta.created_utc = analysis::utc_timestamp_now();
-  meta.git_sha = opt.git_sha.empty() ? "unknown" : opt.git_sha;
-  meta.host = analysis::collect_host_info();
-  meta.l1_memory_bytes = opt.l1_mb * 1024 * 1024;
-  meta.wsaf_log2_entries = opt.wsaf_log2;
-  meta.flows = meta_flows;
-  meta.packets_per_run = stats.packets;
-  meta.seed = opt.seed;
-
-  const auto json = analysis::build_trajectory_json(
-      meta, std::span<const analysis::TrajectoryRun>{&run, 1});
-  std::string err;
-  if (!analysis::validate_trajectory_json(json, &err)) {
-    std::fprintf(stderr,
-                 "io_bench: emitted document failed self-validation: %s\n",
-                 err.c_str());
-    return 1;
-  }
-  std::ofstream out_file{opt.out, std::ios::binary};
-  if (!out_file || !(out_file << json)) {
-    std::fprintf(stderr, "io_bench: cannot write %s\n", opt.out.c_str());
-    return 1;
-  }
   std::printf(
       "io_bench: %llu packets in %.3f s (%.3f Mpps), processed %llu, "
       "queue-dropped %llu, shed %llu, kernel-dropped %llu, skipped %llu "
@@ -261,7 +276,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.io_skipped),
       static_cast<unsigned long long>(stats.io_fragments),
       static_cast<unsigned long long>(stats.io_truncated));
-  std::printf("wrote %s (schema v%d)\n", opt.out.c_str(),
-              analysis::kTrajectorySchemaVersion);
-  return 0;
+  std::printf("%s\n",
+              result_line(correct, stats.packets, failed, metrics).c_str());
+  return correct ? 0 : 1;
 }

@@ -19,7 +19,10 @@
 //   N times; with --churn each repetition re-keys every flow (fresh
 //   population = flow churn for WSAF replacement studies). Live TX needs
 //   CAP_NET_RAW; without it the tool reports the socket error and exits 1.
+//   Every number flag must be finite; nan, inf or an out-of-range value
+//   is a usage error (exit 2).
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -32,6 +35,7 @@
 #include "netio/codec.h"
 #include "netio/pcap.h"
 #include "trace/generator.h"
+#include "util/format.h"
 
 using namespace instameasure;
 
@@ -130,11 +134,25 @@ int main(int argc, char** argv) {
   if (opt.interface.empty() == opt.pcap_out.empty()) {
     usage_error("exactly one of --interface / --pcap-out is required");
   }
-  if (opt.scale <= 0 || opt.scale > 1) usage_error("--scale must be in (0, 1]");
-  if (opt.repeat == 0) usage_error("--repeat must be >= 1");
-  if (opt.rate_pps < 0 || opt.burst < 1) {
-    usage_error("--rate must be >= 0 and --burst >= 1");
+  if (!(std::isfinite(opt.scale) && opt.scale > 0 && opt.scale <= 1)) {
+    usage_error("--scale must be a finite number in (0, 1]");
   }
+  if (!(std::isfinite(opt.rate_pps) && opt.rate_pps >= 0)) {
+    usage_error("--rate must be a finite number >= 0");
+  }
+  if (!(std::isfinite(opt.burst) && opt.burst >= 1)) {
+    usage_error("--burst must be a finite number >= 1");
+  }
+  if (!(std::isfinite(opt.duration_s) && opt.duration_s >= 0)) {
+    usage_error("--duration must be a finite number >= 0");
+  }
+  if (!(std::isfinite(opt.zipf_alpha) && opt.zipf_alpha >= 0)) {
+    usage_error("--zipf must be a finite number >= 0");
+  }
+  if (!(std::isfinite(opt.attack_pps) && opt.attack_pps >= 0)) {
+    usage_error("--attack-pps must be a finite number >= 0");
+  }
+  if (opt.repeat == 0) usage_error("--repeat must be >= 1");
   if (opt.vlan > 4095) usage_error("--vlan must be <= 4095");
 
   auto config = trace::caida_like_config(opt.scale, opt.seed);
@@ -176,11 +194,8 @@ int main(int argc, char** argv) {
                 opt.churn ? " (churn)" : "",
                 opt.interface.empty() ? opt.pcap_out.c_str()
                                       : opt.interface.c_str(),
-                opt.rate_pps > 0
-                    ? (std::to_string(static_cast<long long>(opt.rate_pps)) +
-                       " pps")
-                          .c_str()
-                    : "unpaced");
+                opt.rate_pps > 0 ? util::format_rate(opt.rate_pps).c_str()
+                                 : "unpaced");
   }
 
   // Token bucket: `tokens` refills at rate_pps, capped at `burst`; each
