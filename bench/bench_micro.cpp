@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -198,64 +197,6 @@ void BM_WsafInsert(benchmark::State& state) {
   state.SetLabel(to_string(config.layout));
 }
 BENCHMARK(BM_WsafInsert)->Arg(0)->Arg(1);
-
-// Bounded-pause contract for online resize: a ~512 MB table (2^23 slots,
-// ~90% full) mid-migration to 2^24, with every accumulate individually
-// timed. Each op may migrate at most kResizeMigrateSlotsPerOp old slots, so
-// the worst per-packet pause must stay bounded no matter how large the
-// table is. The iteration count is pinned so the migration cursor cannot
-// drain the old region (100k ops x 64 slots < 2^23): every sample below is
-// taken while the resize is genuinely in flight.
-// scripts/check_resize_pause.sh gates on the exported counters:
-//   max_op_slots <= budget_slots (hard), p99_pause_ns <= ceiling (env).
-void BM_WsafResizePause(benchmark::State& state) {
-  core::WsafConfig config;
-  config.log2_entries = 23;
-  config.layout = bench_layout(state);
-  core::WsafTable table{config};
-  const std::size_t n = (std::size_t{1} << 23) / 10 * 9;
-  std::vector<netio::FlowKey> keys(n);
-  std::vector<std::uint64_t> hashes(n);
-  util::SplitMix64 seeds{11};
-  std::uint64_t now = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    keys[i] = key_from(seeds());
-    hashes[i] = keys[i].hash(config.seed);
-    table.accumulate(keys[i], hashes[i], 1.0, 500.0, ++now);
-  }
-  if (!table.begin_resize(24)) {
-    state.SkipWithError("begin_resize(24) refused");
-    return;
-  }
-  std::vector<std::uint64_t> pause_ns;
-  pause_ns.reserve(200'000);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    if (++i == n) i = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(
-        table.accumulate(keys[i], hashes[i], 1.0, 500.0, ++now));
-    const auto t1 = std::chrono::steady_clock::now();
-    pause_ns.push_back(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count()));
-  }
-  if (!table.resizing()) {
-    state.SkipWithError("migration drained before sampling finished");
-    return;
-  }
-  std::sort(pause_ns.begin(), pause_ns.end());
-  const auto rs = table.resize_stats();
-  state.counters["p99_pause_ns"] = static_cast<double>(
-      pause_ns[pause_ns.size() - 1 - pause_ns.size() / 100]);
-  state.counters["max_pause_ns"] = static_cast<double>(pause_ns.back());
-  state.counters["max_op_slots"] = static_cast<double>(rs.max_op_slots);
-  state.counters["budget_slots"] =
-      static_cast<double>(core::WsafTable::kResizeMigrateSlotsPerOp);
-  state.counters["migrated"] = static_cast<double>(rs.entries_migrated);
-  state.SetLabel(to_string(config.layout));
-}
-BENCHMARK(BM_WsafResizePause)->Arg(0)->Arg(1)->Iterations(100'000);
 
 // -------------------------------------------------------- engine fast path
 //

@@ -1,7 +1,6 @@
 # Shared helpers for the Release-build benchmark gate scripts
 # (check_batch_speedup.sh, check_query_overhead.sh, check_audit_overhead.sh,
-# check_wsaf_lookup.sh, check_resize_pause.sh). Source after cd'ing to the
-# repo root:
+# check_wsaf_lookup.sh). Source after cd'ing to the repo root:
 #   cd "$(dirname "$0")/.."
 #   source scripts/lib_bench.sh
 # Callers are `set -euo pipefail`; every helper returns nonzero on failure.

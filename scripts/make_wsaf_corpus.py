@@ -61,9 +61,9 @@ def record(key, slot, packets, bytes_, first, last, flow_id=None, referenced=0):
 
 
 def v2_header(log2, probe, layout, occupied, idle=0, old_log2=0):
-    # A nonzero old_log2 in the reserved field marks an in-flight resize:
-    # the snapshot carries a second (old-region) slot namespace tagged with
-    # record-slot bit 63, and the loader completes the migration.
+    # A nonzero old_log2 in the reserved field is what the retired online
+    # resize wrote mid-migration (its old-region records tagged with
+    # record-slot bit 63); the loader rejects such a header by name.
     return HEADER_V2.pack(b"IMWSAF02", log2, probe, layout, old_log2, idle,
                           SEED, occupied)
 
@@ -128,13 +128,14 @@ def main():
     # Bad: layout enum value from the future.
     (corpus / "bad_wsaf_layout.imwsaf").write_bytes(v2_header(6, 16, 7, 0))
 
-    # Bad: mid-resize metadata claims the old region (2^6) is not smaller
-    # than the table itself (2^6) — resizes only ever grow.
+    # Bad: in-flight-resize metadata (reserved = old region log2 6), here
+    # also claiming an old region no smaller than the table itself.
     (corpus / "bad_wsaf_resize_shrink.imwsaf").write_bytes(
         v2_header(6, 8, 0, 0, old_log2=6))
 
-    # Bad: an old-region record (slot bit 63) points past the declared
-    # old-region capacity (slot 40 in a 2^5-slot source table).
+    # Bad: in-flight-resize metadata (reserved = 5) with an old-region
+    # record (slot bit 63) past the declared old-region capacity (slot 40
+    # in a 2^5-slot source table).
     skey, _ = scalar_keys_with_distinct_home_slots(log2=6, count=1)[0]
     oob_old = record(skey, (1 << 63) | 40, 1.0, 64.0, 100, 200)
     (corpus / "bad_wsaf_resize_slot.imwsaf").write_bytes(
@@ -145,6 +146,12 @@ def main():
     oob_new = record(skey, 100, 1.0, 64.0, 100, 200)
     (corpus / "bad_wsaf_capacity_mismatch.imwsaf").write_bytes(
         v2_header(6, 8, 0, 1) + oob_new)
+
+    # Bad: a probe window of 2^32-1 slots over a 2^10-slot table. It holds
+    # no records, yet a table restored from it would walk ~4.3e9 probes on
+    # its first accumulate.
+    (corpus / "bad_wsaf_probe_limit.imwsaf").write_bytes(
+        v2_header(10, 0xFFFFFFFF, 0, 0))
 
     for f in sorted(corpus.glob("*wsaf*.imwsaf")):
         print(f"{f.name}: {f.stat().st_size} bytes")

@@ -32,8 +32,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FILTER=${1:-"Counter|Gauge|HistogramMetric|Export|Reporter|Integration|SpscQueue|MultiCore|FlightRecorder|FaultPoint|OverloadChaos|OverloadPaced|Watchdog|ReliableLink|ReliablePipeline|SnapshotChannel|QueryEngine|QueryPlane|AuditSampling|AuditDifferential|AuditConcurrency|AuditSummaryMerge|WsafBucket|WsafLayout|WsafSnapshot|WsafBucketed|WsafResize|SharedWsaf|ResizeChaos|SharedTableChaos|FlowRegulator|RccConfig|BatchEquivalence"}
-TSAN_FILTER=${TSAN_FILTER:-"MultiCore|SpscQueue|OverloadChaos|OverloadPaced|Watchdog|QueryPlane|AuditConcurrency|SharedWsafConcurrency|ResizeChaos|SharedTableChaos"}
+FILTER=${1:-"Counter|Gauge|HistogramMetric|Export|Reporter|Integration|SpscQueue|MultiCore|FlightRecorder|FaultPoint|OverloadChaos|OverloadPaced|Watchdog|ReliableLink|ReliablePipeline|SnapshotChannel|QueryEngine|QueryPlane|AuditSampling|AuditDifferential|AuditConcurrency|AuditSummaryMerge|WsafBucket|WsafLayout|WsafSnapshot|WsafBucketed|SharedWsaf|SharedTableChaos|FlowRegulator|RccConfig|BatchEquivalence"}
+TSAN_FILTER=${TSAN_FILTER:-"MultiCore|SpscQueue|OverloadChaos|OverloadPaced|Watchdog|QueryPlane|AuditConcurrency|SharedWsafConcurrency|SharedTableChaos"}
 
 run_phase() {
   local sanitize=$1 build=$2 filter=$3 repeat=$4
@@ -42,8 +42,8 @@ run_phase() {
   cmake --build "$build" -j --target \
     test_telemetry test_spsc test_multicore test_flight_recorder \
     test_resilience test_query_engine test_audit test_wsaf_bucket \
-    test_wsaf_snapshot test_wsaf_layout_equivalence test_wsaf_resize \
-    test_wsaf_shared test_flow_regulator test_rcc test_batch_equivalence \
+    test_wsaf_snapshot test_wsaf_layout_equivalence test_wsaf_shared \
+    test_flow_regulator test_rcc test_batch_equivalence \
     flow_exporter >/dev/null
   ctest --test-dir "$build" -R "$filter" --output-on-failure -j "$(nproc)" \
     --repeat "until-fail:$repeat"

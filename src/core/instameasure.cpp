@@ -293,9 +293,8 @@ void InstaMeasure::process_chunk(const netio::PacketRecord* recs,
     }
     if (const auto event =
             regulator_.offer(hashes[i], recs[i].wire_len, layouts[i])) {
-      // Shared mode: slot addresses move under another worker's stripe
-      // resize, so speculative WSAF prefetching is off (the stripe lock
-      // will serialize the real access anyway).
+      // Shared mode: the private shard is a stub, so prefetching its
+      // slots would warm nothing the accumulate touches.
       if (prefetch && shared_ == nullptr) wsaf_.prefetch(hashes[i]);
       pending[n_pending].index = static_cast<std::uint32_t>(i);
       pending[n_pending].event = *event;

@@ -109,10 +109,10 @@ struct EngineConfig {
   /// work-stealing sound. Non-owning; the pointed-to table must outlive the
   /// engine. Side effects: the private WSAF shrinks to a stub, publish_views
   /// is forced off (the table's owner publishes ONE channel for the whole
-  /// table), WSAF slot prefetching is disabled (slot addresses are not
-  /// stable under another worker's stripe resize), and all engines sharing
-  /// the table MUST use the same `seed` (the table is keyed by the hashes
-  /// the engines compute). See docs/RESILIENCE.md "Resize under pressure".
+  /// table), WSAF slot prefetching is disabled (the private shard is a
+  /// stub), and all engines sharing the table MUST use the same `seed`
+  /// (the table is keyed by the hashes the engines compute). See
+  /// docs/RESILIENCE.md "Shared-table mode and work-stealing".
   SharedWsaf* shared_wsaf = nullptr;
 };
 

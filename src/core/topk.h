@@ -21,6 +21,27 @@ struct TopKItem {
 
 enum class TopKMetric { kPackets, kBytes };
 
+/// Strict "ranks above" order under `metric`: larger values first.
+[[nodiscard]] inline auto top_k_order(TopKMetric metric) noexcept {
+  return [metric](const TopKItem& a, const TopKItem& b) {
+    return metric == TopKMetric::kPackets ? a.packets > b.packets
+                                          : a.bytes > b.bytes;
+  };
+}
+
+/// Order `items` descending under `metric` and keep the first k — the
+/// selection every top-K answer (table scan, views, shared stripes) makes.
+inline void select_top_k(std::vector<TopKItem>& items, std::size_t k,
+                         TopKMetric metric) {
+  if (items.size() > k) {
+    std::partial_sort(items.begin(), items.begin() + static_cast<long>(k),
+                      items.end(), top_k_order(metric));
+    items.resize(k);
+  } else {
+    std::sort(items.begin(), items.end(), top_k_order(metric));
+  }
+}
+
 /// The K largest live WSAF entries under `metric`, descending.
 [[nodiscard]] inline std::vector<TopKItem> top_k(const WsafTable& table,
                                                  std::size_t k,
@@ -31,17 +52,7 @@ enum class TopKMetric { kPackets, kBytes };
   for (const auto* e : entries) {
     items.push_back({e->key, e->packets, e->bytes});
   }
-  const auto cmp = [metric](const TopKItem& a, const TopKItem& b) {
-    return metric == TopKMetric::kPackets ? a.packets > b.packets
-                                          : a.bytes > b.bytes;
-  };
-  if (items.size() > k) {
-    std::partial_sort(items.begin(), items.begin() + static_cast<long>(k),
-                      items.end(), cmp);
-    items.resize(k);
-  } else {
-    std::sort(items.begin(), items.end(), cmp);
-  }
+  select_top_k(items, k, metric);
   return items;
 }
 

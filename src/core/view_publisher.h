@@ -124,9 +124,8 @@ class ViewPublisher {
     return config_;
   }
 
-  /// The packet cadence actually in force against `table` (resolves auto).
-  /// Uses the CURRENT physical slot count, so the cadence tracks an online
-  /// resize instead of the construction-time geometry.
+  /// The packet cadence actually in force against `table` (resolves auto:
+  /// 8 packets per physical slot, at least 2^16).
   template <typename Table>
   [[nodiscard]] std::uint64_t effective_every_packets(
       const Table& table) const noexcept {

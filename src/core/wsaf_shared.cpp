@@ -26,18 +26,6 @@ SharedWsaf::SharedWsaf(const SharedWsafConfig& config)
   }
   WsafConfig stripe_config = config.table;
   stripe_config.log2_entries = config.table.log2_entries - config.log2_stripes;
-  if (stripe_config.max_log2_entries != 0) {
-    // The cap names the LOGICAL table size; stripes grow independently, so
-    // each gets the per-stripe share.
-    if (stripe_config.max_log2_entries < config.table.log2_entries) {
-      throw std::invalid_argument(
-          "SharedWsafConfig: max_log2_entries (" +
-          std::to_string(stripe_config.max_log2_entries) +
-          ") must be 0 or >= log2_entries (" +
-          std::to_string(config.table.log2_entries) + ")");
-    }
-    stripe_config.max_log2_entries -= config.log2_stripes;
-  }
   // Flight-recorder rings are single-writer per track; a stripe is written
   // by every worker, so stripes never trace.
   stripe_config.trace = nullptr;
@@ -59,12 +47,7 @@ WsafTable::Accumulated SharedWsaf::accumulate(const netio::FlowKey& key,
                                               std::uint64_t now_ns) {
   Stripe& s = *stripes_[stripe_of(flow_hash)];
   StripeGuard guard{s};
-  const auto acc =
-      s.table.accumulate(key, flow_hash, est_packets, est_bytes, now_ns);
-  // accumulate() is the only call that can grow the stripe (auto-grow fires
-  // inside it); republish the size for the unlocked slot_count() readers.
-  s.cached_slots.store(s.table.slot_count(), std::memory_order_relaxed);
-  return acc;
+  return s.table.accumulate(key, flow_hash, est_packets, est_bytes, now_ns);
 }
 
 std::optional<WsafEntry> SharedWsaf::lookup(const netio::FlowKey& key,
@@ -125,12 +108,7 @@ void SharedWsaf::fill_view(WsafView& view, std::uint64_t now_ns) {
 
 std::size_t SharedWsaf::slot_count() const noexcept {
   std::size_t slots = 0;
-  // Reads the per-stripe cached counts, not the tables: a stripe mid-grow
-  // is swapping its slot vector under the stripe lock, which an unlocked
-  // table.slot_count() would race with.
-  for (const auto& sp : stripes_) {
-    slots += sp->cached_slots.load(std::memory_order_relaxed);
-  }
+  for (const auto& sp : stripes_) slots += sp->table.slot_count();
   return slots;
 }
 
@@ -142,17 +120,7 @@ std::vector<TopKItem> SharedWsaf::top_k(std::size_t k, TopKMetric metric) {
       items.push_back({e->key, e->packets, e->bytes});
     }
   }
-  const auto cmp = [metric](const TopKItem& a, const TopKItem& b) {
-    return metric == TopKMetric::kPackets ? a.packets > b.packets
-                                          : a.bytes > b.bytes;
-  };
-  if (items.size() > k) {
-    std::partial_sort(items.begin(), items.begin() + static_cast<long>(k),
-                      items.end(), cmp);
-    items.resize(k);
-  } else {
-    std::sort(items.begin(), items.end(), cmp);
-  }
+  select_top_k(items, k, metric);
   return items;
 }
 
@@ -170,23 +138,6 @@ WsafStats SharedWsaf::stats() {
     agg.gc_reclaims += s.gc_reclaims;
     agg.gc_swept += s.gc_swept;
     agg.tag_collisions += s.tag_collisions;
-  }
-  return agg;
-}
-
-WsafResizeStats SharedWsaf::resize_stats() {
-  WsafResizeStats agg;
-  for (auto& sp : stripes_) {
-    StripeGuard guard{*sp};
-    const auto& r = sp->table.resize_stats();
-    agg.started += r.started;
-    agg.completed += r.completed;
-    agg.aborted += r.aborted;
-    agg.entries_migrated += r.entries_migrated;
-    agg.entries_expired += r.entries_expired;
-    agg.slots_scanned += r.slots_scanned;
-    agg.migrate_stalls += r.migrate_stalls;
-    agg.max_op_slots = std::max(agg.max_op_slots, r.max_op_slots);
   }
   return agg;
 }
@@ -213,7 +164,6 @@ void SharedWsaf::reset() {
   for (auto& sp : stripes_) {
     StripeGuard guard{*sp};
     sp->table.reset();
-    sp->cached_slots.store(sp->table.slot_count(), std::memory_order_relaxed);
   }
 }
 

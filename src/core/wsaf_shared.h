@@ -7,18 +7,17 @@
 // full WsafTable guarded by its own cache-line-isolated spinlock, and the
 // top bits of the flow hash pick the stripe. Any worker can then touch any
 // flow — which is what makes work-stealing between workers sound (a stolen
-// packet's flow state is wherever its hash says, not in a home shard) —
-// and a hot stripe auto-grows on its own (each stripe inherits the
-// pressure-driven incremental resize of WsafTable, running safely under
-// that stripe's lock).
+// packet's flow state is wherever its hash says, not in a home shard).
+// Every stripe's geometry is fixed at construction.
 //
 // Concurrency contract:
 //   - accumulate()/lookup()/latest_ns()/pressure() are safe from any
 //     thread (per-stripe spinlock; critical sections are a handful of
 //     cache lines).
-//   - fill_view()/top_k()/stats()/resize_stats()/occupancy()/reset() lock
+//   - fill_view()/top_k()/stats()/occupancy()/reset() lock
 //     stripes one at a time and are safe from any single caller thread
 //     (typically the manager); the result is per-stripe consistent.
+//   - slot_count() takes no lock: stripe sizes never change.
 //   - stripe() bypasses locking — quiescent phases only (setup, tests,
 //     after workers joined).
 //
@@ -41,8 +40,8 @@ namespace instameasure::core {
 struct SharedWsafConfig {
   /// Geometry of the WHOLE logical table; log2_entries is split evenly
   /// across stripes (each stripe gets log2_entries - log2_stripes). Seed,
-  /// probe limit, eviction, idle timeout, auto-grow policy and telemetry
-  /// registry/labels apply per stripe; trace is ignored (see above).
+  /// probe limit, eviction, idle timeout and telemetry registry/labels
+  /// apply per stripe; trace is ignored (see above).
   WsafConfig table;
   /// log2 of the stripe count; 3 (8 stripes) comfortably feeds 8 workers.
   /// Must leave each stripe at least one bucket (>= 4 slots bucketed).
@@ -80,15 +79,12 @@ class SharedWsaf {
   /// flow appears exactly once). ViewPublisher-compatible.
   void fill_view(WsafView& view, std::uint64_t now_ns);
   /// Physical slots across all stripes (ViewPublisher cadence input).
-  /// Lock-free: sums per-stripe counts cached under each stripe's lock, so
-  /// the manager can poll it while workers grow stripes mid-resize.
   [[nodiscard]] std::size_t slot_count() const noexcept;
 
   [[nodiscard]] std::vector<TopKItem> top_k(std::size_t k, TopKMetric metric);
 
-  /// Aggregated copies (summed over stripes; max for max_op_slots).
+  /// Aggregated copies (summed over stripes).
   [[nodiscard]] WsafStats stats();
-  [[nodiscard]] WsafResizeStats resize_stats();
   [[nodiscard]] std::size_t occupancy();
   [[nodiscard]] std::size_t logical_memory_bytes();
 
@@ -113,12 +109,7 @@ class SharedWsaf {
   struct alignas(64) Stripe {
     std::atomic_flag lock = ATOMIC_FLAG_INIT;
     WsafTable table;
-    /// table.slot_count() republished after every locked mutation, so
-    /// unlocked readers (slot_count()) never touch the vector while a
-    /// resize under the lock is swapping its storage.
-    std::atomic<std::size_t> cached_slots;
-    explicit Stripe(const WsafConfig& config)
-        : table(config), cached_slots(table.slot_count()) {}
+    explicit Stripe(const WsafConfig& config) : table(config) {}
   };
 
   class StripeGuard {

@@ -22,6 +22,14 @@ inline void trace_wsaf(telemetry::TraceRecorder* trace, unsigned track,
   if (trace != nullptr) trace->emit(track, kind, flow_hash, payload, aux);
 }
 
+// The probe_limit bound shared by the constructor and load().
+std::string probe_limit_beyond_table(unsigned probe_limit,
+                                     unsigned log2_entries) {
+  return "probe_limit (" + std::to_string(probe_limit) +
+         ") exceeds the table's 2^" + std::to_string(log2_entries) + " = " +
+         std::to_string(std::uint64_t{1} << log2_entries) + " slots";
+}
+
 // Validates before WsafTable's member-init list runs: slots_ allocates
 // 2^log2_entries entries, so an absurd log2 must throw invalid_argument
 // here rather than surface as bad_alloc from the vector constructor.
@@ -32,13 +40,17 @@ const WsafConfig& validated(const WsafConfig& config) {
         ") exceeds kMaxLog2Entries (" +
         std::to_string(WsafTable::kMaxLog2Entries) + ")");
   }
-  if (config.max_log2_entries != 0 &&
-      config.max_log2_entries < config.log2_entries) {
+  if (config.probe_limit == 0) {
+    // A zero probe window finds no slot: every accumulate would evict
+    // nothing yet count an insert and an eviction, and no flow is findable.
+    throw std::invalid_argument("WsafConfig: probe_limit (0) must be > 0");
+  }
+  if (config.probe_limit > config.entries()) {
+    // The same bound load() applies, so every table save() writes loads: a
+    // longer window only revisits slots, at up to ~4e9 probes per event.
     throw std::invalid_argument(
-        "WsafConfig: max_log2_entries (" +
-        std::to_string(config.max_log2_entries) +
-        ") must be 0 or >= log2_entries (" +
-        std::to_string(config.log2_entries) + ")");
+        "WsafConfig: " +
+        probe_limit_beyond_table(config.probe_limit, config.log2_entries));
   }
   if (config.layout == WsafLayout::kBucketed && config.log2_entries < 4) {
     throw std::invalid_argument(
@@ -107,33 +119,6 @@ WsafTable::WsafTable(const WsafConfig& config)
         "Probe steps per accumulate(): slots in the scalar-probe layout, "
         "buckets in the bucketed layout",
         config.labels);
-    tel_resize_started_ = reg.counter(
-        "im_wsaf_resize_started_total", "Online resizes begun", config.labels);
-    tel_resize_completed_ = reg.counter(
-        "im_wsaf_resize_completed_total",
-        "Online resizes whose migration fully drained", config.labels);
-    tel_resize_aborted_ = reg.counter(
-        "im_wsaf_resize_aborted_total",
-        "Resizes aborted at allocation (table kept serving at old capacity)",
-        config.labels);
-    tel_resize_migrated_ = reg.counter(
-        "im_wsaf_resize_migrated_total",
-        "Entries moved from the old region into the new one", config.labels);
-    tel_resize_stalls_ = reg.counter(
-        "im_wsaf_resize_stalls_total",
-        "Migration ticks skipped by the wsaf.resize.migrate_stall fault",
-        config.labels);
-    tel_resize_in_flight_ = reg.gauge(
-        "im_wsaf_resize_in_flight",
-        "1 while an incremental resize is migrating, else 0", config.labels);
-    tel_log2_entries_ = reg.gauge(
-        "im_wsaf_log2_entries", "Current table capacity as log2(slots)",
-        config.labels);
-    tel_resize_op_slots_ = reg.histogram(
-        "im_wsaf_resize_op_slots",
-        "Old slots drained per accumulate() while a resize is in flight",
-        config.labels);
-    tel_log2_entries_.set(static_cast<double>(config.log2_entries));
   }
 }
 
@@ -146,7 +131,6 @@ WsafTable::Accumulated WsafTable::accumulate(const netio::FlowKey& key,
   tel_accumulates_.inc();
   if (++window_accumulates_ >= kPressureWindow) roll_pressure_window();
   if (now_ns > latest_ns_) latest_ns_ = now_ns;
-  if (resize_ != nullptr) migrate_tick(now_ns);
   if (config_.idle_timeout_ns != 0) {
     // Amortized occupancy hygiene: without this, expired entries in chains
     // no live flow probes stay counted as occupied forever and pressure()
@@ -198,16 +182,6 @@ WsafTable::Accumulated WsafTable::accumulate(const netio::FlowKey& key,
     }
   }
   tel_probe_length_.record(config_.probe_limit);
-
-  // New-region miss during a resize: the flow may still live in the old
-  // region. Updating it there (and migrating it on touch) keeps every flow
-  // in exactly one region; inserting a duplicate here would fork counters.
-  if (resize_ != nullptr) {
-    if (auto acc =
-            accumulate_in_old(key, flow_hash, est_packets, est_bytes, now_ns)) {
-      return *acc;
-    }
-  }
 
   if (first_free != slots_.size()) {
     WsafEntry& e = slots_[first_free];
@@ -332,15 +306,6 @@ WsafTable::Accumulated WsafTable::accumulate_bucketed(
   }
   tel_probe_length_.record(bucket_window_);
 
-  // Same resize fallback as the scalar walk: a new-region miss must defer
-  // to the old region before creating a (duplicate) entry here.
-  if (resize_ != nullptr) {
-    if (auto acc =
-            accumulate_in_old(key, flow_hash, est_packets, est_bytes, now_ns)) {
-      return *acc;
-    }
-  }
-
   if (first_free == slots_.size()) {
     // Every bitmap in the window is full, but the tag filter hides expired
     // entries stored under other tags. Before displacing (or rejecting) a
@@ -448,15 +413,6 @@ std::optional<WsafEntry> WsafTable::lookup(const netio::FlowKey& key,
       return e;
     }
   }
-  // Mid-resize: a flow the migration has not reached yet still lives in the
-  // old region — at most one extra probe window, never both populated.
-  if (resize_ != nullptr) {
-    const auto s = find_in_old(key, flow_hash);
-    if (s != resize_->old_slots.size()) {
-      const WsafEntry& e = resize_->old_slots[s];
-      if (!expired(e, now_ns)) return e;
-    }
-  }
   return std::nullopt;
 }
 
@@ -481,14 +437,6 @@ std::optional<WsafEntry> WsafTable::lookup_bucketed(
       }
     }
   }
-  // Same second-window rule as the scalar path (see lookup()).
-  if (resize_ != nullptr) {
-    const auto s = find_in_old(key, flow_hash);
-    if (s != resize_->old_slots.size()) {
-      const WsafEntry& e = resize_->old_slots[s];
-      if (!expired(e, now_ns)) return e;
-    }
-  }
   return std::nullopt;
 }
 
@@ -498,13 +446,6 @@ std::vector<const WsafEntry*> WsafTable::live_entries(
   out.reserve(occupied_);
   for (const auto& e : slots_) {
     if (e.occupied && !expired(e, now_ns)) out.push_back(&e);
-  }
-  // Mid-resize the logical table is the union of both regions (each flow is
-  // in exactly one), so readers see a single consistent epoch.
-  if (resize_ != nullptr) {
-    for (const auto& e : resize_->old_slots) {
-      if (e.occupied && !expired(e, now_ns)) out.push_back(&e);
-    }
   }
   return out;
 }
@@ -520,15 +461,6 @@ void WsafTable::fill_view(WsafView& view, std::uint64_t now_ns) const {
                             // key on: the entry keeps only the top 32 bits.
                             e.key.hash(config_.seed), e.packets, e.bytes,
                             e.first_seen_ns, e.last_update_ns});
-  }
-  // Same single-epoch union as live_entries(): a published view mid-resize
-  // carries every live flow exactly once, never a half-migrated table.
-  if (resize_ != nullptr) {
-    for (const auto& e : resize_->old_slots) {
-      if (!e.occupied || expired(e, now_ns)) continue;
-      view.entries.push_back({e.key, e.key.hash(config_.seed), e.packets,
-                              e.bytes, e.first_seen_ns, e.last_update_ns});
-    }
   }
 }
 
@@ -559,334 +491,6 @@ std::size_t WsafTable::sweep_expired(std::uint64_t now_ns,
   return reclaimed;
 }
 
-bool WsafTable::begin_resize(unsigned new_log2) {
-  if (resize_ != nullptr || new_log2 <= config_.log2_entries ||
-      new_log2 > kMaxLog2Entries ||
-      (config_.max_log2_entries != 0 &&
-       new_log2 > config_.max_log2_entries)) {
-    return false;
-  }
-  std::vector<WsafEntry> new_slots;
-  std::vector<WsafBucketMeta> new_buckets;
-  std::unique_ptr<ResizeState> state;
-  try {
-    if (fault_alloc_fail_->fire()) throw std::bad_alloc{};
-    new_slots.resize(std::size_t{1} << new_log2);
-    if (config_.layout == WsafLayout::kBucketed) {
-      new_buckets.resize((std::size_t{1} << new_log2) /
-                         WsafBucketMeta::kSlots);
-    }
-    state = std::make_unique<ResizeState>();
-  } catch (const std::exception&) {
-    // Rollback is trivial by construction: nothing was swapped in yet, so
-    // the table keeps serving at its old capacity.
-    ++resize_stats_.aborted;
-    tel_resize_aborted_.inc();
-    trace_wsaf(trace_, trace_track_, telemetry::TraceEventKind::kWsafResize, 0,
-               static_cast<double>(config_.log2_entries), 2);
-    return false;
-  }
-
-  state->old_slots = std::move(slots_);
-  state->old_buckets = std::move(buckets_);
-  state->old_mask = mask_;
-  state->old_bucket_mask = bucket_mask_;
-  state->old_bucket_window = bucket_window_;
-  state->old_log2 = config_.log2_entries;
-  // All currently occupied slots live in what just became the old region.
-  state->old_occupied = occupied_;
-
-  slots_ = std::move(new_slots);
-  buckets_ = std::move(new_buckets);
-  config_.log2_entries = new_log2;
-  mask_ = (std::uint64_t{1} << new_log2) - 1;
-  if (config_.layout == WsafLayout::kBucketed) {
-    const std::size_t bucket_count = slots_.size() / WsafBucketMeta::kSlots;
-    bucket_mask_ = bucket_count - 1;
-    bucket_window_ = static_cast<unsigned>(std::min<std::uint64_t>(
-        (config_.probe_limit + WsafBucketMeta::kSlots - 1) /
-            WsafBucketMeta::kSlots,
-        bucket_count));
-  }
-  sweep_cursor_ = 0;  // the old cursor is meaningless under the new mask
-  saturated_streak_ = 0;
-  const unsigned old_log2 = state->old_log2;
-  resize_ = std::move(state);
-  ++resize_stats_.started;
-  tel_resize_started_.inc();
-  tel_resize_in_flight_.set(1);
-  tel_log2_entries_.set(static_cast<double>(new_log2));
-  trace_wsaf(trace_, trace_track_, telemetry::TraceEventKind::kWsafResize, 0,
-             static_cast<double>(old_log2), 0);
-  if (resize_->old_occupied == 0) complete_resize_if_drained();
-  return true;
-}
-
-void WsafTable::finish_resize() {
-  if (resize_ == nullptr) return;
-  // Drain through the fault-free core: a probability-1 migrate_stall fault
-  // must not be able to wedge an explicit completion request.
-  migrate_some(resize_->old_slots.size(), latest_ns_);
-}
-
-void WsafTable::migrate_tick(std::uint64_t now_ns) {
-  if (fault_migrate_stall_->fire()) {
-    ++resize_stats_.migrate_stalls;
-    tel_resize_stalls_.inc();
-    trace_wsaf(trace_, trace_track_, telemetry::TraceEventKind::kWsafResize, 0,
-               static_cast<double>(resize_->old_log2), 3);
-    return;
-  }
-  const std::uint64_t before = resize_stats_.slots_scanned;
-  migrate_some(kResizeMigrateSlotsPerOp, now_ns);
-  const auto op = static_cast<std::size_t>(resize_stats_.slots_scanned - before);
-  if (op > resize_stats_.max_op_slots) resize_stats_.max_op_slots = op;
-  tel_resize_op_slots_.record(static_cast<double>(op));
-}
-
-void WsafTable::migrate_some(std::size_t max_slots, std::uint64_t now_ns) {
-  if (resize_ == nullptr) return;
-  ResizeState& rs = *resize_;
-  const std::size_t total = rs.old_slots.size();
-  std::size_t visited = 0;
-  while (visited < max_slots && rs.cursor < total && rs.old_occupied != 0) {
-    const auto s = rs.cursor++;
-    ++visited;
-    WsafEntry& e = rs.old_slots[s];
-    if (!e.occupied) continue;
-    if (expired(e, now_ns)) {
-      // A dead flow is not worth rehashing; collect it like the background
-      // sweep would have.
-      clear_old_slot(s);
-      --rs.old_occupied;
-      --occupied_;
-      ++stats_.gc_swept;
-      ++resize_stats_.entries_expired;
-      tel_gc_swept_.inc();
-      continue;
-    }
-    place_migrated(e, e.key.hash(config_.seed));
-    clear_old_slot(s);
-    --rs.old_occupied;
-    ++resize_stats_.entries_migrated;
-    tel_resize_migrated_.inc();
-  }
-  resize_stats_.slots_scanned += visited;
-  tel_occupancy_.set(static_cast<double>(occupied_));
-  complete_resize_if_drained();
-}
-
-void WsafTable::place_migrated(const WsafEntry& src, std::uint64_t flow_hash) {
-  // Migration is a move, not an arrival: no insert/update is counted, so a
-  // grown table's stats stay comparable to a fresh table's. Expiry below is
-  // judged at the trace-time high-water mark.
-  const std::uint64_t now_ns = latest_ns_;
-  // The flow may have forked: judged expired in the old region by a late
-  // timestamp, re-inserted fresh into the new region, then reached here via
-  // the cursor under an earlier (out-of-order) timestamp. A second copy
-  // would surface the same flow twice in every view, so merge instead —
-  // old totals + post-fork totals is exactly the unforked sum.
-  if (const auto existing = find_in_new(src.key, flow_hash);
-      existing != slots_.size()) {
-    WsafEntry& dst = slots_[existing];
-    dst.packets += src.packets;
-    dst.bytes += src.bytes;
-    dst.first_seen_ns = std::min(dst.first_seen_ns, src.first_seen_ns);
-    dst.last_update_ns = std::max(dst.last_update_ns, src.last_update_ns);
-    dst.referenced = dst.referenced || src.referenced;
-    --occupied_;  // two records became one
-    return;
-  }
-  if (config_.layout == WsafLayout::kBucketed) {
-    const auto tag = WsafBucketMeta::tag_of(flow_hash);
-    std::size_t free_slot = slots_.size();
-    bool free_expired = false;
-    for (unsigned j = 0; j < bucket_window_ && free_slot == slots_.size();
-         ++j) {
-      const auto b = bucket_of(flow_hash, j);
-      if (const auto bits = buckets_[b].free_mask(); bits != 0) {
-        free_slot = slot_base(b) +
-                    static_cast<std::size_t>(std::countr_zero(bits));
-        break;
-      }
-      for (std::size_t i = 0; i < WsafBucketMeta::kSlots; ++i) {
-        if (expired(slots_[slot_base(b) + i], now_ns)) {
-          free_slot = slot_base(b) + i;
-          free_expired = true;
-          break;
-        }
-      }
-    }
-    if (free_slot == slots_.size()) {
-      // Window full of live entries even in the doubled table (pathological
-      // skew): displace the stalest occupant rather than drop a live flow —
-      // deliberately even under kNone, which only governs new arrivals.
-      std::size_t stalest = slot_base(bucket_of(flow_hash, 0));
-      for (unsigned j = 0; j < bucket_window_; ++j) {
-        const auto b = bucket_of(flow_hash, j);
-        for (std::size_t i = 0; i < WsafBucketMeta::kSlots; ++i) {
-          const auto s = slot_base(b) + i;
-          if (slots_[s].last_update_ns < slots_[stalest].last_update_ns) {
-            stalest = s;
-          }
-        }
-      }
-      trace_wsaf(trace_, trace_track_, telemetry::TraceEventKind::kWsafEvict,
-                 flow_hash, slots_[stalest].packets, 0);
-      ++stats_.evictions;
-      tel_evictions_.inc();
-      --occupied_;
-      free_slot = stalest;
-    } else if (free_expired) {
-      ++stats_.gc_reclaims;
-      tel_gc_reclaims_.inc();
-      --occupied_;
-    }
-    slots_[free_slot] = src;
-    buckets_[free_slot / WsafBucketMeta::kSlots].set(
-        free_slot % WsafBucketMeta::kSlots, tag);
-    return;
-  }
-
-  std::size_t free_slot = slots_.size();
-  bool free_expired = false;
-  for (unsigned i = 0; i < config_.probe_limit; ++i) {
-    const auto s = slot_of(flow_hash, i);
-    const WsafEntry& e = slots_[s];
-    if (!e.occupied) {
-      free_slot = s;
-      free_expired = false;
-      break;
-    }
-    if (free_slot == slots_.size() && expired(e, now_ns)) {
-      free_slot = s;
-      free_expired = true;
-    }
-  }
-  if (free_slot == slots_.size()) {
-    std::size_t stalest = slot_of(flow_hash, 0);
-    for (unsigned i = 0; i < config_.probe_limit; ++i) {
-      const auto s = slot_of(flow_hash, i);
-      if (slots_[s].last_update_ns < slots_[stalest].last_update_ns) {
-        stalest = s;
-      }
-    }
-    trace_wsaf(trace_, trace_track_, telemetry::TraceEventKind::kWsafEvict,
-               flow_hash, slots_[stalest].packets, 0);
-    ++stats_.evictions;
-    tel_evictions_.inc();
-    --occupied_;
-    free_slot = stalest;
-  } else if (free_expired) {
-    ++stats_.gc_reclaims;
-    tel_gc_reclaims_.inc();
-    --occupied_;
-  }
-  slots_[free_slot] = src;
-}
-
-void WsafTable::clear_old_slot(std::size_t s) noexcept {
-  ResizeState& rs = *resize_;
-  rs.old_slots[s] = WsafEntry{};
-  if (config_.layout == WsafLayout::kBucketed) {
-    rs.old_buckets[s / WsafBucketMeta::kSlots].clear(s %
-                                                     WsafBucketMeta::kSlots);
-  }
-}
-
-std::size_t WsafTable::find_in_new(const netio::FlowKey& key,
-                                   std::uint64_t flow_hash) const noexcept {
-  const auto npos = slots_.size();
-  const auto flow_id = static_cast<std::uint32_t>(flow_hash >> 32);
-  if (config_.layout == WsafLayout::kBucketed) {
-    const auto tag = WsafBucketMeta::tag_of(flow_hash);
-    for (unsigned j = 0; j < bucket_window_; ++j) {
-      const auto b = bucket_of(flow_hash, j);
-      for (auto m = buckets_[b].match_mask(tag); m != 0; m &= m - 1) {
-        const auto s =
-            slot_base(b) + static_cast<std::size_t>(std::countr_zero(m));
-        const WsafEntry& e = slots_[s];
-        if (e.flow_id == flow_id && e.key == key) return s;
-      }
-    }
-    return npos;
-  }
-  for (unsigned i = 0; i < config_.probe_limit; ++i) {
-    const auto s = slot_of(flow_hash, i);
-    const WsafEntry& e = slots_[s];
-    if (e.occupied && e.flow_id == flow_id && e.key == key) return s;
-  }
-  return npos;
-}
-
-std::size_t WsafTable::find_in_old(const netio::FlowKey& key,
-                                   std::uint64_t flow_hash) const noexcept {
-  const ResizeState& rs = *resize_;
-  const auto npos = rs.old_slots.size();
-  const auto flow_id = static_cast<std::uint32_t>(flow_hash >> 32);
-  if (config_.layout == WsafLayout::kBucketed) {
-    const auto tag = WsafBucketMeta::tag_of(flow_hash);
-    for (unsigned j = 0; j < rs.old_bucket_window; ++j) {
-      const auto b = probe_bucket(rs.old_bucket_mask, flow_hash, j);
-      for (auto m = rs.old_buckets[b].match_mask(tag); m != 0; m &= m - 1) {
-        const auto s =
-            slot_base(b) + static_cast<std::size_t>(std::countr_zero(m));
-        const WsafEntry& e = rs.old_slots[s];
-        if (e.flow_id == flow_id && e.key == key) return s;
-      }
-    }
-    return npos;
-  }
-  for (unsigned i = 0; i < config_.probe_limit; ++i) {
-    const auto s = probe_slot(rs.old_mask, flow_hash, i);
-    const WsafEntry& e = rs.old_slots[s];
-    if (e.occupied && e.flow_id == flow_id && e.key == key) return s;
-  }
-  return npos;
-}
-
-std::optional<WsafTable::Accumulated> WsafTable::accumulate_in_old(
-    const netio::FlowKey& key, std::uint64_t flow_hash, double est_packets,
-    double est_bytes, std::uint64_t now_ns) {
-  const auto s = find_in_old(key, flow_hash);
-  if (s == resize_->old_slots.size()) return std::nullopt;
-  WsafEntry& e = resize_->old_slots[s];
-  if (expired(e, now_ns)) {
-    // One accumulate() would reclaim, not resume, this record: treat the
-    // flow as absent and let the migration sweep collect the corpse.
-    return std::nullopt;
-  }
-  e.packets += est_packets;
-  e.bytes += est_bytes;
-  e.last_update_ns = now_ns;
-  e.referenced = true;
-  ++stats_.updates;
-  tel_updates_.inc();
-  trace_wsaf(trace_, trace_track_, telemetry::TraceEventKind::kWsafUpdate,
-             flow_hash, e.packets, 0);
-  const Accumulated out{e.packets, e.bytes, e.first_seen_ns};
-  // Migrate on touch: an active flow moves the moment traffic reaches it,
-  // instead of waiting for the cursor sweep to arrive.
-  place_migrated(e, flow_hash);
-  clear_old_slot(s);
-  --resize_->old_occupied;
-  ++resize_stats_.entries_migrated;
-  tel_resize_migrated_.inc();
-  complete_resize_if_drained();
-  return out;
-}
-
-void WsafTable::complete_resize_if_drained() {
-  if (resize_ == nullptr || resize_->old_occupied != 0) return;
-  const unsigned old_log2 = resize_->old_log2;
-  resize_.reset();
-  ++resize_stats_.completed;
-  tel_resize_completed_.inc();
-  tel_resize_in_flight_.set(0);
-  trace_wsaf(trace_, trace_track_, telemetry::TraceEventKind::kWsafResize, 0,
-             static_cast<double>(old_log2), 1);
-}
-
 namespace {
 
 // Snapshot format: header (magic, version, config) then one fixed-width
@@ -905,18 +509,11 @@ struct SnapshotHeaderV2 {  // 48 bytes
   std::uint32_t log2_entries;
   std::uint32_t probe_limit;
   std::uint32_t layout;    // WsafLayout as u32
-  std::uint32_t reserved;  // 0, or the old region's log2_entries when the
-                           // snapshot captured an in-flight resize (the
-                           // field was written as zero and ignored before
-                           // resize support, so old readers/files agree)
+  std::uint32_t reserved;  // always 0; nonzero was an in-flight resize
   std::uint64_t idle_timeout_ns;
   std::uint64_t seed;
   std::uint64_t occupied;
 };
-
-// High bit of SnapshotRecord::slot marks a record still in the OLD region
-// of an in-flight resize; the remaining bits index the old geometry.
-constexpr std::uint64_t kOldRegionSlotBit = std::uint64_t{1} << 63;
 
 struct SnapshotRecord {
   std::uint64_t slot;
@@ -942,16 +539,17 @@ void WsafTable::save(const std::string& path) const {
   header.log2_entries = config_.log2_entries;
   header.probe_limit = config_.probe_limit;
   header.layout = static_cast<std::uint32_t>(config_.layout);
-  header.reserved = resize_ != nullptr ? resize_->old_log2 : 0;
+  header.reserved = 0;
   header.idle_timeout_ns = config_.idle_timeout_ns;
   header.seed = config_.seed;
-  header.occupied = occupied_;  // both regions; each flow is in exactly one
+  header.occupied = occupied_;
   out.write(reinterpret_cast<const char*>(&header), sizeof header);
 
-  const auto write_record = [&](std::size_t slot, const WsafEntry& e,
-                                bool old_region) {
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    const WsafEntry& e = slots_[s];
+    if (!e.occupied) continue;
     SnapshotRecord rec{};
-    rec.slot = old_region ? (slot | kOldRegionSlotBit) : slot;
+    rec.slot = s;
     rec.src_ip = e.key.src_ip;
     rec.dst_ip = e.key.dst_ip;
     rec.src_port = e.key.src_port;
@@ -964,20 +562,6 @@ void WsafTable::save(const std::string& path) const {
     rec.first_seen_ns = e.first_seen_ns;
     rec.last_update_ns = e.last_update_ns;
     out.write(reinterpret_cast<const char*>(&rec), sizeof rec);
-  };
-
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    if (slots_[s].occupied) write_record(s, slots_[s], /*old_region=*/false);
-  }
-  if (resize_ != nullptr) {
-    // Not-yet-migrated entries, flagged so load() can either finish the
-    // migration or reject a torn file — new-region records always precede
-    // old-region ones.
-    for (std::size_t s = 0; s < resize_->old_slots.size(); ++s) {
-      if (resize_->old_slots[s].occupied) {
-        write_record(s, resize_->old_slots[s], /*old_region=*/true);
-      }
-    }
   }
   if (!out) throw std::runtime_error("WsafTable::save: write failed");
 }
@@ -1003,6 +587,16 @@ WsafTable WsafTable::load(const std::string& path) {
   in.read(reinterpret_cast<char*>(&header) + sizeof magic,
           sizeof header - sizeof magic);
   if (!in) throw std::runtime_error("WsafTable::load: truncated v2 header");
+  if (header.reserved != 0) {
+    // Only the retired online resize wrote a nonzero value here (the log2
+    // of the region it was migrating out of), followed by records of that
+    // second region; tables are fixed-size now.
+    throw std::runtime_error(
+        "WsafTable::load: header reserved field is " +
+        std::to_string(header.reserved) +
+        ", marking a snapshot of an in-flight resize; online resize was "
+        "removed and such snapshots no longer load");
+  }
   if (header.layout > static_cast<std::uint32_t>(WsafLayout::kBucketed)) {
     throw std::runtime_error("WsafTable::load: unknown layout in header");
   }
@@ -1018,11 +612,8 @@ WsafTable WsafTable::load(const std::string& path) {
   config.idle_timeout_ns = header.idle_timeout_ns;
   config.seed = header.seed;
   const std::uint64_t claimed_occupied = header.occupied;
-  // Nonzero: the snapshot captured an in-flight resize and old_log2 names
-  // the source region's geometry; load() completes the migration.
-  const unsigned old_log2 = header.reserved;
 
-  if (config.log2_entries > 40) {
+  if (config.log2_entries > kMaxLog2Entries) {
     throw std::runtime_error("WsafTable::load: implausible table size");
   }
   if (config.probe_limit == 0) {
@@ -1030,24 +621,14 @@ WsafTable WsafTable::load(const std::string& path) {
     // restored from such a header would silently drop all traffic.
     throw std::runtime_error("WsafTable::load: probe_limit must be > 0");
   }
-  if (old_log2 != 0) {
-    // An in-flight resize only ever grows, and a bucketed source region
-    // must itself have been a whole number of buckets.
-    if (old_log2 >= config.log2_entries) {
-      throw std::runtime_error(
-          "WsafTable::load: in-flight resize source (2^" +
-          std::to_string(old_log2) + ") is not smaller than the table (2^" +
-          std::to_string(config.log2_entries) + ")");
-    }
-    if (config.layout == WsafLayout::kBucketed && old_log2 < 4) {
-      throw std::runtime_error(
-          "WsafTable::load: in-flight resize source too small for the "
-          "bucketed layout (log2 " + std::to_string(old_log2) + " < 4)");
-    }
+  const std::uint64_t capacity = std::uint64_t{1} << config.log2_entries;
+  if (config.probe_limit > capacity) {
+    // Every accumulate walks the whole window, so a header claiming ~4e9
+    // probes over a small table would stall the first one for seconds.
+    throw std::runtime_error(
+        "WsafTable::load: " +
+        probe_limit_beyond_table(config.probe_limit, config.log2_entries));
   }
-  const std::uint64_t capacity =
-      (std::uint64_t{1} << config.log2_entries) +
-      (old_log2 != 0 ? (std::uint64_t{1} << old_log2) : 0);
   if (claimed_occupied > capacity) {
     throw std::runtime_error(
         "WsafTable::load: occupied count exceeds table capacity");
@@ -1055,132 +636,10 @@ WsafTable WsafTable::load(const std::string& path) {
 
   WsafTable table{config};
 
-  // Old-region bookkeeping for an in-flight snapshot: records are placed
-  // straight into the (already larger) table — the migration completes at
-  // load instead of resuming, so the restored table is never torn.
-  const std::uint64_t old_capacity =
-      old_log2 != 0 ? (std::uint64_t{1} << old_log2) : 0;
-  const std::uint64_t old_mask = old_capacity != 0 ? old_capacity - 1 : 0;
-  std::uint64_t old_bucket_mask = 0;
-  unsigned old_bucket_window = 0;
-  if (old_log2 != 0 && config.layout == WsafLayout::kBucketed) {
-    const std::uint64_t old_buckets = old_capacity / WsafBucketMeta::kSlots;
-    old_bucket_mask = old_buckets - 1;
-    old_bucket_window = static_cast<unsigned>(std::min<std::uint64_t>(
-        (config.probe_limit + WsafBucketMeta::kSlots - 1) /
-            WsafBucketMeta::kSlots,
-        old_buckets));
-  }
-  std::vector<bool> old_seen(static_cast<std::size_t>(old_capacity), false);
-
   for (std::uint64_t i = 0; i < claimed_occupied; ++i) {
     SnapshotRecord rec{};
     in.read(reinterpret_cast<char*>(&rec), sizeof rec);
     if (!in) throw std::runtime_error("WsafTable::load: truncated snapshot");
-    if ((rec.slot & kOldRegionSlotBit) != 0 && old_log2 != 0) {
-      // A not-yet-migrated entry of an in-flight resize. Validate it
-      // against the OLD geometry it was stored under, then complete its
-      // migration by placing it into the restored (new-geometry) table.
-      const auto old_slot =
-          static_cast<std::size_t>(rec.slot & ~kOldRegionSlotBit);
-      if (old_slot >= old_capacity) {
-        throw std::runtime_error(
-            "WsafTable::load: old-region slot out of range");
-      }
-      if (old_seen[old_slot]) {
-        throw std::runtime_error(
-            "WsafTable::load: duplicate old-region slot in snapshot");
-      }
-      old_seen[old_slot] = true;
-      const netio::FlowKey key{rec.src_ip, rec.dst_ip, rec.src_port,
-                               rec.dst_port, rec.proto};
-      const auto rebuilt = key.hash(config.seed);
-      if (static_cast<std::uint32_t>(rebuilt >> 32) != rec.flow_id) {
-        throw std::runtime_error(
-            "WsafTable::load: record flow_id does not match its key");
-      }
-      bool reachable = false;
-      if (config.layout == WsafLayout::kBucketed) {
-        const auto bucket = old_slot / WsafBucketMeta::kSlots;
-        for (unsigned j = 0; j < old_bucket_window && !reachable; ++j) {
-          reachable = probe_bucket(old_bucket_mask, rebuilt, j) == bucket;
-        }
-      } else {
-        for (unsigned p = 0; p < config.probe_limit && !reachable; ++p) {
-          reachable = probe_slot(old_mask, rebuilt, p) == old_slot;
-        }
-      }
-      if (!reachable) {
-        throw std::runtime_error(
-            "WsafTable::load: old-region slot outside its key's probe "
-            "window");
-      }
-      // Place into the new region: first free slot in the key's window. A
-      // copy of the flow already restored there, or a window with no free
-      // slot, means the snapshot is torn — reject, never evict on load.
-      std::size_t dest = table.slots_.size();
-      if (config.layout == WsafLayout::kBucketed) {
-        const auto tag = WsafBucketMeta::tag_of(rebuilt);
-        for (unsigned j = 0; j < table.bucket_window_; ++j) {
-          const auto b = table.bucket_of(rebuilt, j);
-          for (auto m = table.buckets_[b].match_mask(tag); m != 0;
-               m &= m - 1) {
-            const auto s =
-                slot_base(b) + static_cast<std::size_t>(std::countr_zero(m));
-            const WsafEntry& n = table.slots_[s];
-            if (n.flow_id == rec.flow_id && n.key == key) {
-              throw std::runtime_error(
-                  "WsafTable::load: flow present in both resize regions");
-            }
-          }
-          if (dest == table.slots_.size()) {
-            if (const auto bits = table.buckets_[b].free_mask(); bits != 0) {
-              dest = slot_base(b) +
-                     static_cast<std::size_t>(std::countr_zero(bits));
-            }
-          }
-        }
-        if (dest == table.slots_.size()) {
-          throw std::runtime_error(
-              "WsafTable::load: no free slot completing in-flight "
-              "migration");
-        }
-        table.buckets_[dest / WsafBucketMeta::kSlots].set(
-            dest % WsafBucketMeta::kSlots, tag);
-      } else {
-        for (unsigned p = 0; p < config.probe_limit; ++p) {
-          const auto s = table.slot_of(rebuilt, p);
-          const WsafEntry& n = table.slots_[s];
-          if (!n.occupied) {
-            if (dest == table.slots_.size()) dest = s;
-            continue;
-          }
-          if (n.flow_id == rec.flow_id && n.key == key) {
-            throw std::runtime_error(
-                "WsafTable::load: flow present in both resize regions");
-          }
-        }
-        if (dest == table.slots_.size()) {
-          throw std::runtime_error(
-              "WsafTable::load: no free slot completing in-flight "
-              "migration");
-        }
-      }
-      WsafEntry& e = table.slots_[dest];
-      e.key = key;
-      e.flow_id = rec.flow_id;
-      e.packets = rec.packets;
-      e.bytes = rec.bytes;
-      e.first_seen_ns = rec.first_seen_ns;
-      e.last_update_ns = rec.last_update_ns;
-      e.occupied = true;
-      e.referenced = rec.referenced != 0;
-      ++table.occupied_;
-      if (rec.last_update_ns > table.latest_ns_) {
-        table.latest_ns_ = rec.last_update_ns;
-      }
-      continue;
-    }
     if (rec.slot >= table.slots_.size()) {
       throw std::runtime_error("WsafTable::load: slot out of range");
     }
@@ -1244,20 +703,6 @@ void WsafTable::roll_pressure_window() noexcept {
   window_accumulates_ = 0;
   tel_eviction_pressure_.set(eviction_pressure_);
   tel_pressure_level_.set(static_cast<double>(pressure().level));
-  // Pressure-driven auto-grow: sustained saturation means the working set
-  // outgrew the provisioning guess — double the table instead of grinding
-  // on forced evictions. One window of relief resets the streak.
-  if (config_.grow_after_saturated_windows == 0 || resize_ != nullptr) return;
-  if (pressure().level == WsafPressureLevel::kSaturated) {
-    if (++saturated_streak_ >= config_.grow_after_saturated_windows) {
-      // May fail (cap reached or allocation) — the failed attempt resets
-      // the streak so a capped table retries at most once per N windows.
-      (void)begin_resize(config_.log2_entries + 1);
-      saturated_streak_ = 0;
-    }
-  } else {
-    saturated_streak_ = 0;
-  }
 }
 
 void WsafTable::reset() {
@@ -1270,18 +715,11 @@ void WsafTable::reset() {
   eviction_pressure_ = 0.0;
   latest_ns_ = 0;
   sweep_cursor_ = 0;
-  // An in-flight resize completes trivially: every entry is dropped anyway,
-  // so the table simply keeps its (already swapped-in) new capacity.
-  resize_.reset();
-  resize_stats_ = WsafResizeStats{};
-  saturated_streak_ = 0;
   // Telemetry counters stay monotone across resets (Prometheus semantics);
   // only point-in-time gauges rewind.
   tel_occupancy_.set(0);
   tel_pressure_level_.set(0);
   tel_eviction_pressure_.set(0);
-  tel_resize_in_flight_.set(0);
-  tel_log2_entries_.set(static_cast<double>(config_.log2_entries));
 }
 
 }  // namespace instameasure::core

@@ -37,14 +37,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/wsaf_bucket.h"
 #include "netio/flow_key.h"
-#include "resilience/faultpoint.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -87,7 +85,12 @@ enum class EvictionPolicy {
 };
 
 struct WsafConfig {
-  unsigned log2_entries = 20;  ///< m = 2^20 in all paper experiments
+  /// m = 2^20 in all paper experiments. Fixed for the table's lifetime:
+  /// size it for the expected live set up front (docs/RESILIENCE.md
+  /// "Sizing the WSAF").
+  unsigned log2_entries = 20;
+  /// Probe window in slots, in [1, entries()]; the constructor rejects
+  /// anything else.
   unsigned probe_limit = 16;
   /// Storage layout. kBucketed needs log2_entries >= 4 (one full 16-slot
   /// bucket); the constructor rejects smaller tables.
@@ -97,16 +100,6 @@ struct WsafConfig {
   /// probing — the paper's inline garbage collection. 0 disables.
   std::uint64_t idle_timeout_ns = 0;
   std::uint64_t seed = 0x3aff;
-  /// Pressure-driven auto-grow: after this many consecutive pressure
-  /// windows (kPressureWindow accumulates each) at kSaturated, the table
-  /// begins an incremental resize to log2_entries + 1, bounded by
-  /// max_log2_entries. 0 disables auto-grow.
-  unsigned grow_after_saturated_windows = 0;
-  /// Inclusive growth ceiling for auto-grow and begin_resize(). 0 means
-  /// "no configured headroom": auto-grow never triggers and manual
-  /// begin_resize() is bounded only by WsafTable::kMaxLog2Entries. A
-  /// nonzero value below log2_entries is rejected at construction.
-  unsigned max_log2_entries = 0;
   /// When set, table counters / occupancy / probe-length histogram are
   /// exported here (with `labels` on every series).
   telemetry::Registry* registry = nullptr;
@@ -166,22 +159,6 @@ struct WsafStats {
   /// — the false-positive rate of the 1-byte fingerprint filter (each one
   /// costs an extra entry-line dereference).
   std::uint64_t tag_collisions = 0;
-};
-
-/// Counters of the incremental online resize, cumulative across the
-/// table's lifetime (reset() zeroes them with the rest of the stats).
-struct WsafResizeStats {
-  std::uint64_t started = 0;    ///< begin_resize() calls that committed
-  std::uint64_t completed = 0;  ///< migrations fully drained
-  std::uint64_t aborted = 0;    ///< allocation failures (real or injected)
-  std::uint64_t entries_migrated = 0;  ///< live entries moved old -> new
-  std::uint64_t entries_expired = 0;   ///< old entries dropped as expired
-  std::uint64_t slots_scanned = 0;     ///< old slots visited by migration
-  std::uint64_t migrate_stalls = 0;    ///< wsaf.resize.migrate_stall fires
-  /// Worst migration work any single accumulate() paid (old slots visited)
-  /// — the bounded-pause contract: never above kResizeMigrateSlotsPerOp
-  /// (scripts/check_resize_pause.sh gates this in CI).
-  std::size_t max_op_slots = 0;
 };
 
 /// How close the table is to silent accuracy collapse. kElevated means
@@ -289,46 +266,11 @@ class WsafTable {
   /// would probe the dead chains never arrives.
   std::size_t sweep_expired(std::uint64_t now_ns, std::size_t max_slots = 0);
 
-  /// Begin an incremental online resize to 2^new_log2 slots. The target
-  /// region is allocated now; entries migrate a bounded budget per
-  /// accumulate() (kResizeMigrateSlotsPerOp old slots, amortized exactly
-  /// like the expired sweep) plus migrate-on-touch for flows the traffic
-  /// reaches first, so the pause per operation stays bounded while the
-  /// table keeps serving. Mid-migration, lookups check at most two probe
-  /// windows (new, then old); every flow lives in exactly one region, so
-  /// views and queries always see a single consistent epoch.
-  ///
-  /// Returns false without touching the table when a resize is already in
-  /// flight, new_log2 is not larger than the current size, it exceeds
-  /// max_log2_entries (when configured) or kMaxLog2Entries, or the target
-  /// allocation fails — real std::bad_alloc or an injected
-  /// `wsaf.resize.alloc_fail` — in which case the abort is counted and the
-  /// table continues serving at its old capacity.
-  bool begin_resize(unsigned new_log2);
-
-  /// Drain the in-flight migration to completion (ignoring the
-  /// migrate_stall fault point). No-op when no resize is in flight.
-  void finish_resize();
-
-  [[nodiscard]] bool resizing() const noexcept { return resize_ != nullptr; }
-  /// log2 of the region being migrated out of; 0 when not resizing.
-  [[nodiscard]] unsigned resize_source_log2() const noexcept {
-    return resize_ ? resize_->old_log2 : 0;
-  }
-  [[nodiscard]] const WsafResizeStats& resize_stats() const noexcept {
-    return resize_stats_;
-  }
-
   /// Hard ceiling on table size (2^40 slots ~ 36 TB logical); snapshots
   /// claiming more are rejected as implausible.
   static constexpr unsigned kMaxLog2Entries = 40;
-  /// Old slots migrated per accumulate() while a resize is in flight: four
-  /// 16-slot buckets' worth. The fixed per-operation bucket budget the
-  /// bounded-pause bench gate (scripts/check_resize_pause.sh) enforces.
-  static constexpr std::size_t kResizeMigrateSlotsPerOp = 64;
 
-  /// Physical slots currently allocated (the new region's capacity while a
-  /// resize is in flight).
+  /// Physical slots, fixed at construction (2^log2_entries).
   [[nodiscard]] std::size_t slot_count() const noexcept {
     return slots_.size();
   }
@@ -392,38 +334,29 @@ class WsafTable {
 
   /// Restore a snapshot written by save(). The stored geometry (entry
   /// count, probe limit, seed) replaces the current one. Throws
-  /// std::runtime_error on I/O failure or format mismatch.
+  /// std::runtime_error on I/O failure or format mismatch, including a
+  /// header whose reserved field is nonzero (written by the retired online
+  /// resize mid-migration) or whose probe_limit exceeds the table's slots.
   [[nodiscard]] static WsafTable load(const std::string& path);
 
  private:
   friend struct WsafTableTestPeer;  // invariant fuzz inspects slots/metadata
 
-  /// Triangular quadratic probing under an explicit mask; the i-th offset
-  /// is i(i+1)/2. Static so load()/the migration can probe the OLD
-  /// geometry while mask_ already describes the new region.
-  [[nodiscard]] static std::size_t probe_slot(std::uint64_t mask,
-                                              std::uint64_t flow_hash,
-                                              unsigned i) noexcept {
-    const std::uint64_t base = flow_hash & mask;
-    return static_cast<std::size_t>(
-        (base + (static_cast<std::uint64_t>(i) * (i + 1)) / 2) & mask);
-  }
-  [[nodiscard]] static std::size_t probe_bucket(std::uint64_t bucket_mask,
-                                                std::uint64_t flow_hash,
-                                                unsigned j) noexcept {
-    const std::uint64_t base = flow_hash & bucket_mask;
-    return static_cast<std::size_t>(
-        (base + (static_cast<std::uint64_t>(j) * (j + 1)) / 2) & bucket_mask);
-  }
+  /// Triangular quadratic probing: the i-th offset is i(i+1)/2.
   [[nodiscard]] std::size_t slot_of(std::uint64_t flow_hash,
                                     unsigned i) const noexcept {
-    return probe_slot(mask_, flow_hash, i);
+    return static_cast<std::size_t>(
+        ((flow_hash & mask_) + (static_cast<std::uint64_t>(i) * (i + 1)) / 2) &
+        mask_);
   }
   /// j-th bucket of the flow's overflow sequence: the same triangular walk,
   /// over buckets instead of slots.
   [[nodiscard]] std::size_t bucket_of(std::uint64_t flow_hash,
                                       unsigned j) const noexcept {
-    return probe_bucket(bucket_mask_, flow_hash, j);
+    return static_cast<std::size_t>(
+        ((flow_hash & bucket_mask_) +
+         (static_cast<std::uint64_t>(j) * (j + 1)) / 2) &
+        bucket_mask_);
   }
   /// First slot of bucket b: slots are stored bucket-contiguously, so the
   /// bucketed layout reuses slots_ (views/snapshots iterate it unchanged).
@@ -445,56 +378,6 @@ class WsafTable {
 
   void roll_pressure_window() noexcept;
 
-  /// In-flight incremental resize: the region being migrated OUT of. The
-  /// main members (slots_/buckets_/mask_/...) always describe the NEW
-  /// region; the split cursor walks old slots front-to-back, so slots
-  /// below `cursor` are already drained. A flow lives in exactly one
-  /// region at any instant — migration moves it atomically from the
-  /// caller's perspective (single-threaded table, stripe-locked when
-  /// shared).
-  struct ResizeState {
-    std::vector<WsafEntry> old_slots;
-    std::vector<WsafBucketMeta> old_buckets;
-    std::uint64_t old_mask = 0;
-    std::uint64_t old_bucket_mask = 0;
-    unsigned old_bucket_window = 0;
-    unsigned old_log2 = 0;
-    std::size_t cursor = 0;        ///< next old slot the migration visits
-    std::size_t old_occupied = 0;  ///< live entries still in the old region
-  };
-
-  /// Amortized migration step folded into accumulate(): checks the
-  /// migrate_stall fault, then drains up to kResizeMigrateSlotsPerOp old
-  /// slots. The bounded per-op pause the bench gate measures.
-  void migrate_tick(std::uint64_t now_ns);
-  /// Fault-free migration core (finish_resize() drains through this so a
-  /// probability-1 stall fault cannot hang completion).
-  void migrate_some(std::size_t max_slots, std::uint64_t now_ns);
-  /// Move one live old-region entry into the new region. Never counts an
-  /// insert (the flow is not new) and never drops a live flow: if the new
-  /// window is full it displaces the stalest occupant (counted as an
-  /// eviction) even under kNone. If the flow already has a record in the
-  /// new region (it forked: re-inserted fresh after its old record was
-  /// transiently judged expired under out-of-order timestamps), the two
-  /// records are merged — the sum restores the pre-fork totals.
-  void place_migrated(const WsafEntry& src, std::uint64_t flow_hash);
-  /// Probe the new region for `key`; returns its slot or npos.
-  [[nodiscard]] std::size_t find_in_new(const netio::FlowKey& key,
-                                        std::uint64_t flow_hash) const noexcept;
-  /// Clear old slot s (and its bucket metadata in the bucketed layout).
-  void clear_old_slot(std::size_t s) noexcept;
-  /// Probe the old region for `key`; returns its slot or npos.
-  [[nodiscard]] std::size_t find_in_old(const netio::FlowKey& key,
-                                        std::uint64_t flow_hash) const noexcept;
-  /// Mid-resize accumulate fallback: if the flow still lives in the old
-  /// region, update it there, then migrate it to the new region on touch.
-  /// Returns nullopt when the flow is not in the old region.
-  [[nodiscard]] std::optional<Accumulated> accumulate_in_old(
-      const netio::FlowKey& key, std::uint64_t flow_hash, double est_packets,
-      double est_bytes, std::uint64_t now_ns);
-  /// Tear down ResizeState once the old region is empty.
-  void complete_resize_if_drained();
-
   WsafConfig config_;
   std::uint64_t mask_;
   std::vector<WsafEntry> slots_;
@@ -512,15 +395,6 @@ class WsafTable {
   std::uint64_t window_accumulates_ = 0;
   std::uint64_t window_stress_ = 0;
   double eviction_pressure_ = 0.0;
-  std::unique_ptr<ResizeState> resize_;  ///< null when not resizing
-  WsafResizeStats resize_stats_;
-  unsigned saturated_streak_ = 0;  ///< consecutive saturated pressure windows
-  // Fault points are process-lifetime singletons with stable addresses, so
-  // the hot path caches raw pointers (one relaxed load when unarmed).
-  resilience::FaultPoint* fault_alloc_fail_ =
-      &resilience::faultpoint("wsaf.resize.alloc_fail");
-  resilience::FaultPoint* fault_migrate_stall_ =
-      &resilience::faultpoint("wsaf.resize.migrate_stall");
   // Telemetry mirrors of stats_ plus live occupancy and probe-length
   // distribution (single-writer cells; stats_ stays authoritative).
   telemetry::Counter tel_accumulates_;
@@ -535,14 +409,6 @@ class WsafTable {
   telemetry::Gauge tel_pressure_level_;
   telemetry::Gauge tel_eviction_pressure_;
   telemetry::Histogram tel_probe_length_;
-  telemetry::Counter tel_resize_started_;
-  telemetry::Counter tel_resize_completed_;
-  telemetry::Counter tel_resize_aborted_;
-  telemetry::Counter tel_resize_migrated_;
-  telemetry::Counter tel_resize_stalls_;
-  telemetry::Gauge tel_resize_in_flight_;
-  telemetry::Gauge tel_log2_entries_;
-  telemetry::Histogram tel_resize_op_slots_;
   telemetry::TraceRecorder* trace_ = nullptr;
   unsigned trace_track_ = 0;
 };

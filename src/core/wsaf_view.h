@@ -82,17 +82,7 @@ template <typename ViewRange>
       items.push_back({e.key, e.packets, e.bytes});
     }
   }
-  const auto cmp = [metric](const TopKItem& a, const TopKItem& b) {
-    return metric == TopKMetric::kPackets ? a.packets > b.packets
-                                          : a.bytes > b.bytes;
-  };
-  if (items.size() > k) {
-    std::partial_sort(items.begin(), items.begin() + static_cast<long>(k),
-                      items.end(), cmp);
-    items.resize(k);
-  } else {
-    std::sort(items.begin(), items.end(), cmp);
-  }
+  select_top_k(items, k, metric);
   return items;
 }
 

@@ -81,8 +81,8 @@ MultiCoreEngine::MultiCoreEngine(const MultiCoreConfig& config)
     sc.table = config.engine.wsaf;
     // Same alignment EngineConfig::propagated() applies to a private WSAF:
     // the table is keyed by hashes the engines compute with engine.seed, and
-    // migration rehashes entries with the table's own seed — a mismatch
-    // would strand every migrated entry outside its probe window.
+    // views rebuild each entry's hash with the table's own seed — a mismatch
+    // would publish hashes the slots were never derived from.
     sc.table.seed = config.engine.seed;
     sc.table.registry = registry_;
     sc.table.trace = nullptr;
@@ -735,39 +735,21 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
   return stats;
 }
 
-std::vector<core::TopKItem> MultiCoreEngine::top_k_packets(
-    std::size_t k) const {
+std::vector<core::TopKItem> MultiCoreEngine::top_k(
+    std::size_t k, core::TopKMetric metric) const {
   if (shared_) {
     // Every engine would return the same global answer; summing the
     // per-engine results would duplicate it `workers` times.
-    return shared_->top_k(k, core::TopKMetric::kPackets);
+    return shared_->top_k(k, metric);
   }
   std::vector<core::TopKItem> all;
   for (const auto& engine : engines_) {
-    auto part = engine->top_k_packets(k);
+    auto part = core::top_k(engine->wsaf(), k, metric);
     all.insert(all.end(), part.begin(), part.end());
   }
-  std::sort(all.begin(), all.end(),
-            [](const core::TopKItem& a, const core::TopKItem& b) {
-              return a.packets > b.packets;
-            });
-  if (all.size() > k) all.resize(k);
-  return all;
-}
-
-std::vector<core::TopKItem> MultiCoreEngine::top_k_bytes(std::size_t k) const {
-  if (shared_) {
-    return shared_->top_k(k, core::TopKMetric::kBytes);
-  }
-  std::vector<core::TopKItem> all;
-  for (const auto& engine : engines_) {
-    auto part = engine->top_k_bytes(k);
-    all.insert(all.end(), part.begin(), part.end());
-  }
-  std::sort(all.begin(), all.end(),
-            [](const core::TopKItem& a, const core::TopKItem& b) {
-              return a.bytes > b.bytes;
-            });
+  // A full sort, not select_top_k's partial_sort, which can order ties
+  // differently: top-K recall is scored on exactly this order.
+  std::sort(all.begin(), all.end(), core::top_k_order(metric));
   if (all.size() > k) all.resize(k);
   return all;
 }

@@ -247,8 +247,12 @@ class MultiCoreEngine {
 
   /// Merged top-K across shards (computed once over the shared table in
   /// shared_table mode — every engine would return the same global answer).
-  [[nodiscard]] std::vector<core::TopKItem> top_k_packets(std::size_t k) const;
-  [[nodiscard]] std::vector<core::TopKItem> top_k_bytes(std::size_t k) const;
+  [[nodiscard]] std::vector<core::TopKItem> top_k_packets(std::size_t k) const {
+    return top_k(k, core::TopKMetric::kPackets);
+  }
+  [[nodiscard]] std::vector<core::TopKItem> top_k_bytes(std::size_t k) const {
+    return top_k(k, core::TopKMetric::kBytes);
+  }
 
   /// The shared striped table, or null outside shared_table mode.
   [[nodiscard]] core::SharedWsaf* shared_table() const noexcept {
@@ -279,6 +283,10 @@ class MultiCoreEngine {
   }
 
  private:
+  /// The body of top_k_packets()/top_k_bytes().
+  [[nodiscard]] std::vector<core::TopKItem> top_k(
+      std::size_t k, core::TopKMetric metric) const;
+
   /// What travels on a worker queue: a copy of the record (a source reuses
   /// its burst buffer on the next pull) plus the shed-compensation weight
   /// (1 except under kShed pressure; an admitted packet with weight w

@@ -59,10 +59,9 @@ enum class TraceEventKind : std::uint8_t {
                       ///< error; aux=code | pressure<<8, code 0 = within
                       ///< tolerance, 1..3 = cause+1, 4 = overcount; see
                       ///< audit/auditor.h)
-  kWsafResize,        ///< wsaf: online resize lifecycle (payload=old log2;
-                      ///< aux 0=begin, 1=complete, 2=abort/alloc-fail,
-                      ///< 3=migrate stall)
-  kWorkSteal,         ///< runtime: dispatch redirected to an idler worker
+  // 18 was the retired online-resize event; the later kinds keep their
+  // numbers so existing IMTRC001 spools still decode.
+  kWorkSteal = 19,    ///< runtime: dispatch redirected to an idler worker
                       ///< (payload=home queue depth, aux=home | victim<<8)
   kIoBurst,           ///< netio: one PacketSource burst dispatched
                       ///< (payload=records in burst, aux=kernel drops seen
@@ -101,7 +100,6 @@ inline constexpr std::uint64_t kAllTraceKinds =
     case TraceEventKind::kQueryMerge: return "query_merge";
     case TraceEventKind::kPerfCounters: return "perf_counters";
     case TraceEventKind::kAudit: return "audit";
-    case TraceEventKind::kWsafResize: return "wsaf_resize";
     case TraceEventKind::kWorkSteal: return "work_steal";
     case TraceEventKind::kIoBurst: return "io_burst";
     case TraceEventKind::kKindCount: break;
@@ -131,7 +129,6 @@ inline constexpr std::uint64_t kAllTraceKinds =
     case TraceEventKind::kQueryMerge: return "query";
     case TraceEventKind::kPerfCounters: return "perf";
     case TraceEventKind::kAudit: return "audit";
-    case TraceEventKind::kWsafResize: return "wsaf";
     case TraceEventKind::kWorkSteal: return "runtime";
     case TraceEventKind::kIoBurst: return "io";
     case TraceEventKind::kKindCount: break;

@@ -632,18 +632,15 @@ TEST(OverloadPaced, ShedBoundsBacklogWhereBlockFallsBehind) {
   EXPECT_LT(shed.mean_queue_depth[0], block.mean_queue_depth[0]);
 }
 
-// ---------- Resize + shared-table chaos ----------
+// ---------- Saturated-table + shared-table chaos ----------
 
-// Online WSAF grows under kShed with a 20% injected queue-full rate and
-// occasional migrate stalls: the accounting invariant must stay exact
-// while every shard's table is migrating under live ingest.
-// The resize-chaos runs need tables that actually saturate mid-run. Mice
-// never saturate the regulator, so WSAF occupancy is bounded by the count
-// of event-producing flows: add a 200-flow mid tier (every 200-600 packet
+// These runs need WSAF tables that actually saturate mid-run. Mice never
+// saturate the regulator, so WSAF occupancy is bounded by the count of
+// event-producing flows: add a 200-flow mid tier (every 200-600 packet
 // flow saturates a 2-bit virtual vector repeatedly) and shrink the vectors
 // so events are plentiful enough to roll pressure windows (1024
 // accumulates each) many times per worker.
-trace::Trace resize_chaos_trace() {
+trace::Trace saturating_chaos_trace() {
   trace::TraceConfig config;
   config.duration_s = 1.0;
   config.tiers = {{4, 15'000, 30'000}, {20, 1'000, 3'000}, {200, 200, 600}};
@@ -657,60 +654,34 @@ void shrink_regulator(runtime::MultiCoreConfig& config) {
   config.engine.regulator.vv_bits = 2;
 }
 
-TEST(ResizeChaos, AccountingExactWhileTablesGrowUnderShed) {
-  const auto trace = resize_chaos_trace();
+// kShed with a 20% injected queue-full rate while every shard's table is
+// saturated: hundreds of event-producing flows pour into 2^6 slots, so the
+// tables keep evicting through the overloaded run. The accounting
+// invariant must stay exact.
+TEST(OverloadChaos, AccountingExactWithSaturatedTablesUnderShed) {
+  const auto trace = saturating_chaos_trace();
   const std::uint64_t offered = trace.packets.size();
   for (const std::uint64_t seed : chaos_seeds()) {
     SCOPED_TRACE("IM_CHAOS_SEED=" + std::to_string(seed));
     ScopedFaults faults{
-        {"runtime.queue_full", {.probability = 0.2, .seed = seed}},
-        {"wsaf.resize.migrate_stall",
-         {.probability = 0.01, .seed = seed + 3}}};
+        {"runtime.queue_full", {.probability = 0.2, .seed = seed}}};
     auto config = small_config(2);
     config.queue_capacity = 1 << 8;
     config.overload.policy = runtime::OverloadPolicy::kShed;
     config.overload.full_queue_retries = 0;  // make sheds reachable
     config.overload.escalate_after_stalls = 8;
     config.overload.max_shed_level = 4;
-    // Deliberately undersized with auto-grow headroom: hundreds of
-    // event-producing flows pour into 2^6 slots, forcing repeated online
-    // grows in the middle of the overloaded run.
     shrink_regulator(config);
     config.engine.wsaf.log2_entries = 6;
-    config.engine.wsaf.grow_after_saturated_windows = 2;
-    config.engine.wsaf.max_log2_entries = 14;
     runtime::MultiCoreEngine engine{config};
     const auto stats = engine.run(trace);
     EXPECT_EQ(stats.packets, offered);
     EXPECT_EQ(stats.processed + stats.dropped + stats.shed, offered);
-    std::uint64_t grows = 0;
+    std::uint64_t evictions = 0;
     for (unsigned w = 0; w < engine.workers(); ++w) {
-      grows += engine.engine(w).wsaf().resize_stats().started;
+      evictions += engine.engine(w).wsaf().stats().evictions;
     }
-    EXPECT_GE(grows, 1u) << "the chaos run must actually have resized";
-  }
-}
-
-// Injected allocation failure on every grow attempt: auto-grow keeps
-// retrying and aborting, the tables never change size, and the run still
-// completes with exact accounting (rollback leaves the table serving).
-TEST(ResizeChaos, AllocationFailureRollsBackAndTheRunCompletes) {
-  const auto trace = resize_chaos_trace();
-  ScopedFaults faults{{"wsaf.resize.alloc_fail", {.probability = 1.0}}};
-  auto config = small_config(2);
-  shrink_regulator(config);
-  config.engine.wsaf.log2_entries = 6;
-  config.engine.wsaf.grow_after_saturated_windows = 2;
-  config.engine.wsaf.max_log2_entries = 14;
-  runtime::MultiCoreEngine engine{config};
-  const auto stats = engine.run(trace);
-  EXPECT_EQ(stats.processed, trace.packets.size());
-  for (unsigned w = 0; w < engine.workers(); ++w) {
-    const auto& wsaf = engine.engine(w).wsaf();
-    EXPECT_EQ(wsaf.slot_count(), std::size_t{1} << 6)
-        << "worker " << w << ": every grow attempt must have rolled back";
-    EXPECT_GE(wsaf.resize_stats().aborted, 1u) << "worker " << w;
-    EXPECT_EQ(wsaf.resize_stats().started, 0u) << "worker " << w;
+    EXPECT_GT(evictions, 0u) << "the tables must actually have saturated";
   }
 }
 
@@ -743,11 +714,11 @@ TEST(SharedTableChaos, StealingPreservesExactAccounting) {
   }
 }
 
-// Shared-table mode while the stripes grow online AND packets are being
-// stolen: the hardest interleaving this PR ships. Accounting stays exact
-// and the shared table ends with every processed flow visible once.
-TEST(SharedTableChaos, ResizeUnderStealingStaysConsistent) {
-  const auto trace = resize_chaos_trace();
+// Shared-table mode while every stripe is saturated AND packets are being
+// stolen: accounting stays exact and the shared table ends with every
+// live flow visible once.
+TEST(SharedTableChaos, SaturatedStripesUnderStealingStayConsistent) {
+  const auto trace = saturating_chaos_trace();
   const std::uint64_t offered = trace.packets.size();
   for (const std::uint64_t seed : chaos_seeds()) {
     SCOPED_TRACE("IM_CHAOS_SEED=" + std::to_string(seed));
@@ -762,18 +733,16 @@ TEST(SharedTableChaos, ResizeUnderStealingStaysConsistent) {
     config.overload.escalate_after_stalls = 8;
     config.overload.max_shed_level = 4;
     // 4 stripes of 2^4 slots: hundreds of event-producing flows saturate
-    // every stripe, so the stripes must grow online while packets are
-    // simultaneously being stolen across home queues.
+    // every stripe, so the stripes evict while packets are simultaneously
+    // being stolen across home queues.
     shrink_regulator(config);
     config.engine.wsaf.log2_entries = 6;
-    config.engine.wsaf.grow_after_saturated_windows = 2;
-    config.engine.wsaf.max_log2_entries = 16;
     runtime::MultiCoreEngine engine{config};
     const auto stats = engine.run(trace);
     EXPECT_EQ(stats.processed + stats.dropped + stats.shed, offered);
     ASSERT_NE(engine.shared_table(), nullptr);
-    EXPECT_GE(engine.shared_table()->resize_stats().started, 1u)
-        << "the shared stripes must actually have grown";
+    EXPECT_GT(engine.shared_table()->stats().evictions, 0u)
+        << "the shared stripes must actually have saturated";
     // One consistent epoch at the end: every live flow exactly once.
     core::WsafView view;
     engine.shared_table()->fill_view(view,

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "util/rng.h"
 
 namespace instameasure::core {
@@ -302,6 +305,43 @@ TEST(WsafTable, BucketedRejectsSubBucketTable) {
   WsafConfig config = tiny_config(2, 4);  // 4 slots: less than one bucket
   config.layout = WsafLayout::kBucketed;
   EXPECT_THROW((void)WsafTable{config}, std::invalid_argument);
+}
+
+// --- Constructor validation (messages carry the offending values) ----------
+
+// Expects `config` to be rejected with a message containing `needle`.
+void expect_rejected(const WsafConfig& config, const std::string& needle) {
+  try {
+    WsafTable table{config};
+    ADD_FAILURE() << "expected std::invalid_argument naming " << needle;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(WsafConfig, ZeroProbeLimitRejectedWithItsValue) {
+  // A zero window finds no slot: 100 distinct flows would count 100
+  // inserts and 100 evictions at occupancy 0, and none could be found.
+  for (const auto layout : {WsafLayout::kScalarProbe, WsafLayout::kBucketed}) {
+    WsafConfig config = tiny_config(8, 0);
+    config.layout = layout;
+    expect_rejected(config, "probe_limit (0)");
+  }
+}
+
+TEST(WsafConfig, ProbeLimitBeyondTableSizeRejectedNamingBoth) {
+  // load() refuses a window longer than the table, so the constructor does
+  // too: a table it accepted could otherwise save a snapshot that does not
+  // load. A window of exactly the table size is fine.
+  EXPECT_EQ(WsafTable{tiny_config(4, 16)}.config().probe_limit, 16u);
+  expect_rejected(tiny_config(4, 17),
+                  "probe_limit (17) exceeds the table's 2^4 = 16 slots");
+}
+
+TEST(WsafConfig, OversizedLog2EntriesRejectedWithItsValue) {
+  expect_rejected(tiny_config(WsafTable::kMaxLog2Entries + 1),
+                  "log2_entries (41)");
 }
 
 TEST(WsafTable, PolicyVersionTracksLayout) {

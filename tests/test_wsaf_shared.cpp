@@ -1,9 +1,10 @@
 // SharedWsaf: the striped shared-table mode that underpins work-stealing.
 //
-// Single-threaded correctness (partitioning, views, aggregates, per-stripe
-// auto-grow) plus multi-threaded hammer tests that exist primarily as TSan
-// targets: concurrent accumulates from many workers — including while a
-// stripe is mid-resize — must be data-race-free and lose no counts.
+// Single-threaded correctness (partitioning, views, aggregates) plus
+// multi-threaded hammer tests that exist primarily as TSan targets:
+// concurrent accumulates from many workers — including into saturated
+// stripes that keep evicting live flows — must be data-race-free and lose
+// no counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -73,46 +74,6 @@ TEST(SharedWsaf, FillViewCoversEveryFlowExactlyOnce) {
   }
 }
 
-TEST(SharedWsaf, HotStripeAutoGrowsIndependently) {
-  // 8 stripes of 2^7 slots; headroom to 2^13 logical (2^10 per stripe).
-  auto config = shared_config(10, 3);
-  config.table.grow_after_saturated_windows = 2;
-  config.table.max_log2_entries = 13;
-  SharedWsaf table{config};
-  const auto seed = WsafConfig{}.seed;
-
-  // Hammer flows belonging to ONE stripe until its pressure windows roll
-  // at saturation; the stripe grows on its own, siblings stay put.
-  const auto target = table.stripe_of(key_n(0).hash(seed));
-  std::vector<std::uint32_t> stripe_flows;
-  for (std::uint32_t n = 0; stripe_flows.size() < 120 && n < 200'000; ++n) {
-    if (table.stripe_of(key_n(n).hash(seed)) == target) {
-      stripe_flows.push_back(n);
-    }
-  }
-  ASSERT_EQ(stripe_flows.size(), 120u);
-  std::uint64_t t = 0;
-  for (int round = 0; round < 3; ++round) {
-    for (unsigned rep = 0; rep < 40; ++rep) {
-      for (const auto n : stripe_flows) {
-        const auto key = key_n(n);
-        table.accumulate(key, key.hash(seed), 1.0, 64.0, 100 + t++);
-      }
-    }
-  }
-  table.stripe(target).finish_resize();
-  EXPECT_GT(table.stripe(target).slot_count(), std::size_t{1} << 7)
-      << "saturated stripe must have auto-grown";
-  EXPECT_GE(table.resize_stats().started, 1u);
-  // One final touch pass (pre-growth saturation may have evicted someone),
-  // then every flow must be present in the grown stripe.
-  for (const auto n : stripe_flows) {
-    const auto key = key_n(n);
-    table.accumulate(key, key.hash(seed), 1.0, 64.0, 100 + t++);
-    EXPECT_TRUE(table.lookup(key, key.hash(seed)).has_value()) << n;
-  }
-}
-
 TEST(SharedWsaf, ValidationNamesTheOffendingValues) {
   try {
     SharedWsaf bad{shared_config(4, 17)};
@@ -129,16 +90,6 @@ TEST(SharedWsaf, ValidationNamesTheOffendingValues) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("log2_entries (5)"), std::string::npos) << msg;
     EXPECT_NE(msg.find("log2_stripes (3)"), std::string::npos) << msg;
-  }
-  try {
-    auto config = shared_config(10, 2);
-    config.table.max_log2_entries = 9;
-    SharedWsaf bad{config};
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("max_log2_entries (9)"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("log2_entries (10)"), std::string::npos) << msg;
   }
 }
 
@@ -198,19 +149,16 @@ TEST(SharedWsafConcurrency, ContendedFlowsCountExactly) {
   EXPECT_DOUBLE_EQ(total, static_cast<double>(kThreads) * kReps);
 }
 
-// Resize under concurrent ingest: tiny stripes with auto-grow headroom are
-// hammered past saturation from several threads, so stripes run their
-// incremental migration WHILE other threads accumulate into them. TSan
-// asserts race-freedom; the accumulate tally is lock-protected and exact.
-TEST(SharedWsafConcurrency, StripesResizeUnderConcurrentIngest) {
-  auto config = shared_config(8, 2);
-  config.table.grow_after_saturated_windows = 1;
-  config.table.max_log2_entries = 12;
-  SharedWsaf table{config};
+// Saturated stripes under concurrent ingest: tiny stripes are hammered
+// past capacity from several threads, so every stripe evicts WHILE other
+// threads accumulate into it. TSan asserts race-freedom; the accumulate
+// tally is lock-protected and exact.
+TEST(SharedWsafConcurrency, SaturatedStripesUnderConcurrentIngestCountExactly) {
+  SharedWsaf table{shared_config(8, 2)};
   const auto seed = WsafConfig{}.seed;
   constexpr unsigned kThreads = 4;
-  // ~70 flows per 64-slot starting stripe: each stripe is driven to full
-  // occupancy (saturated) until it grows.
+  // ~70 flows per 64-slot stripe: each stripe is driven to full occupancy
+  // and keeps evicting.
   constexpr std::uint32_t kFlows = 280;
   constexpr std::uint32_t kReps = 3'000;
   std::vector<std::thread> threads;
@@ -224,14 +172,12 @@ TEST(SharedWsafConcurrency, StripesResizeUnderConcurrentIngest) {
     });
   }
   for (auto& th : threads) th.join();
-  for (std::size_t s = 0; s < table.stripe_count(); ++s) {
-    table.stripe(s).finish_resize();
-  }
   EXPECT_EQ(table.stats().accumulates, kThreads * std::uint64_t{kReps});
-  EXPECT_GE(table.resize_stats().started, 1u)
-      << "saturated stripes must have begun growing";
-  EXPECT_GT(table.slot_count(), std::size_t{1} << 8);
-  // The grown table keeps serving: every flow is insertable and findable.
+  EXPECT_GT(table.stats().evictions, 0u) << "the stripes must have saturated";
+  EXPECT_EQ(table.slot_count(), std::size_t{1} << 8);
+  EXPECT_LE(table.occupancy(), table.slot_count());
+  // The saturated table keeps serving: every flow is insertable and
+  // findable right after its accumulate.
   for (std::uint32_t n = 0; n < kFlows; ++n) {
     const auto key = key_n(n);
     table.accumulate(key, key.hash(seed), 1.0, 64.0, 1'000'000 + n);

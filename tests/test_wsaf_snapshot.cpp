@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -176,6 +177,7 @@ constexpr std::streamoff kHeaderBytes = 48;
 constexpr std::streamoff kLog2Offset = 8;
 constexpr std::streamoff kProbeLimitOffset = 12;
 constexpr std::streamoff kLayoutOffset = 16;
+constexpr std::streamoff kReservedOffset = 20;
 constexpr std::streamoff kOccupiedOffset = 40;
 constexpr std::streamoff kRecordBytes = 64;
 constexpr std::streamoff kRecFlowIdOffset = 24;
@@ -226,6 +228,7 @@ TEST_F(WsafSnapshotTest, LayoutMatchesPatchOffsets) {
             table.config().probe_limit);
   EXPECT_EQ(read_at<std::uint32_t>(path_, kLayoutOffset),
             static_cast<std::uint32_t>(WsafLayout::kBucketed));
+  EXPECT_EQ(read_at<std::uint32_t>(path_, kReservedOffset), 0u);
   EXPECT_EQ(read_at<std::uint64_t>(path_, kOccupiedOffset), table.occupancy());
   // Record-shape guard: the first record's flow_id must equal the id32 of
   // the key rebuilt from the record's own tuple fields — pinning every
@@ -240,6 +243,24 @@ TEST_F(WsafSnapshotTest, ZeroProbeLimitHeaderThrows) {
   populated_table().save(path_);
   patch_file<std::uint32_t>(path_, kProbeLimitOffset, 0);
   EXPECT_THROW((void)WsafTable::load(path_), std::runtime_error);
+}
+
+TEST_F(WsafSnapshotTest, ProbeLimitBeyondTableSizeThrowsNamingBoth) {
+  // Every accumulate walks the whole probe window, so a header claiming
+  // 2^32-1 probes over 2^10 slots restored a table whose first accumulate
+  // took seconds. A window may cover the table, never exceed it.
+  populated_table().save(path_);
+  patch_file<std::uint32_t>(path_, kProbeLimitOffset, 1024);
+  EXPECT_EQ(WsafTable::load(path_).config().probe_limit, 1024u);
+  patch_file<std::uint32_t>(path_, kProbeLimitOffset, 0xffffffffU);
+  try {
+    (void)WsafTable::load(path_);
+    ADD_FAILURE() << "a probe_limit beyond the table size loaded";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("probe_limit (4294967295)"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("1024 slots"), std::string::npos) << msg;
+  }
 }
 
 TEST_F(WsafSnapshotTest, OccupiedBeyondCapacityThrows) {
@@ -327,6 +348,51 @@ TEST_F(WsafSnapshotTest, OccupancyCountsRestoredRecordsNotHeaderClaim) {
                             static_cast<std::uint64_t>(claimed));
   const auto restored = WsafTable::load(path_);
   EXPECT_EQ(restored.occupancy(), claimed);
+}
+
+TEST_F(WsafSnapshotTest, InFlightResizeSnapshotRejectedByName) {
+  // The retired online resize saved mid-migration snapshots: header
+  // reserved = log2 of the region being drained, that region's records
+  // appended with slot bit 63. Hand-build one (a 2^10 table draining a
+  // 2^9 region, one flow still in the old region, at its home slot) and
+  // expect a one-line rejection naming the field, not a migration
+  // silently completed at load.
+  const auto table = populated_table();
+  table.save(path_);
+  const auto key = key_n(500);
+  const std::uint64_t old_slot =
+      (key.hash(kSeed) & ((1U << 9) - 1)) | (std::uint64_t{1} << 63);
+  const std::uint32_t flow_id = key.id32(kSeed);
+  const double packets = 3.0, bytes = 192.0;
+  const std::uint64_t seen_ns = 5'000;
+  std::array<char, kRecordBytes> rec{};
+  std::memcpy(rec.data() + 0, &old_slot, sizeof old_slot);
+  std::memcpy(rec.data() + 8, &key.src_ip, sizeof key.src_ip);
+  std::memcpy(rec.data() + 12, &key.dst_ip, sizeof key.dst_ip);
+  std::memcpy(rec.data() + 16, &key.src_port, sizeof key.src_port);
+  std::memcpy(rec.data() + 18, &key.dst_port, sizeof key.dst_port);
+  std::memcpy(rec.data() + 20, &key.proto, sizeof key.proto);
+  std::memcpy(rec.data() + kRecFlowIdOffset, &flow_id, sizeof flow_id);
+  std::memcpy(rec.data() + 32, &packets, sizeof packets);
+  std::memcpy(rec.data() + 40, &bytes, sizeof bytes);
+  std::memcpy(rec.data() + 48, &seen_ns, sizeof seen_ns);
+  std::memcpy(rec.data() + 56, &seen_ns, sizeof seen_ns);
+  {
+    std::ofstream out{path_, std::ios::binary | std::ios::app};
+    out.write(rec.data(), static_cast<std::streamsize>(rec.size()));
+  }
+  patch_file<std::uint32_t>(path_, kReservedOffset, 9);
+  patch_file<std::uint64_t>(
+      path_, kOccupiedOffset,
+      static_cast<std::uint64_t>(table.occupancy()) + 1);
+  try {
+    (void)WsafTable::load(path_);
+    ADD_FAILURE() << "an in-flight-resize snapshot loaded";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("reserved field is 9"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("in-flight resize"), std::string::npos) << msg;
+  }
 }
 
 // --- Legacy (v1) rejection --------------------------------------------------
