@@ -16,8 +16,10 @@
 #   1. address,undefined,float-cast-overflow over the full concurrency
 #      filter (now including the WSAF layout/bucket/snapshot differential
 #      suites, whose SIMD tag-compare and byte-patching code is exactly
-#      what UBSan/ASan are for, and the FlowRegulator layout-memo, RccConfig
-#      and batch-equivalence suites, which index the memo by hash bits).
+#      what UBSan/ASan are for, the FlowRegulator layout-memo, RccConfig
+#      and batch-equivalence suites, which index the memo by hash bits, and
+#      the VvLayout, RccSketch and RccVectorSizeTest suites, whose
+#      branch-free encode and probe shift and rotate by drawn amounts).
 #      GCC's -fsanitize=undefined leaves out float-cast-overflow (a double
 #      outside an integer type's range cast to it), so it is named
 #      explicitly;
@@ -32,7 +34,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FILTER=${1:-"Counter|Gauge|HistogramMetric|Export|Reporter|Integration|SpscQueue|MultiCore|FlightRecorder|FaultPoint|OverloadChaos|OverloadPaced|Watchdog|ReliableLink|ReliablePipeline|SnapshotChannel|QueryEngine|QueryPlane|AuditSampling|AuditDifferential|AuditConcurrency|AuditSummaryMerge|WsafBucket|WsafLayout|WsafSnapshot|WsafBucketed|SharedWsaf|SharedTableChaos|FlowRegulator|RccConfig|BatchEquivalence"}
+FILTER=${1:-"Counter|Gauge|HistogramMetric|Export|Reporter|Integration|SpscQueue|MultiCore|FlightRecorder|FaultPoint|OverloadChaos|OverloadPaced|Watchdog|ReliableLink|ReliablePipeline|SnapshotChannel|QueryEngine|QueryPlane|AuditSampling|AuditDifferential|AuditConcurrency|AuditSummaryMerge|WsafBucket|WsafLayout|WsafSnapshot|WsafBucketed|SharedWsaf|SharedTableChaos|FlowRegulator|RccConfig|BatchEquivalence|VvLayout|RccSketch|RccVectorSizeTest"}
 TSAN_FILTER=${TSAN_FILTER:-"MultiCore|SpscQueue|OverloadChaos|OverloadPaced|Watchdog|QueryPlane|AuditConcurrency|SharedWsafConcurrency|SharedTableChaos"}
 
 run_phase() {
@@ -43,7 +45,7 @@ run_phase() {
     test_telemetry test_spsc test_multicore test_flight_recorder \
     test_resilience test_query_engine test_audit test_wsaf_bucket \
     test_wsaf_snapshot test_wsaf_layout_equivalence test_wsaf_shared \
-    test_flow_regulator test_rcc test_batch_equivalence \
+    test_flow_regulator test_rcc test_batch_equivalence test_virtual_vector \
     flow_exporter >/dev/null
   ctest --test-dir "$build" -R "$filter" --output-on-failure -j "$(nproc)" \
     --repeat "until-fail:$repeat"

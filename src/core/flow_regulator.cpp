@@ -37,21 +37,16 @@ FlowRegulator::FlowRegulator(const FlowRegulatorConfig& config)
   }
 }
 
-std::optional<SaturationEvent> FlowRegulator::offer(
+std::optional<SaturationEvent> FlowRegulator::on_l1_saturation(
     std::uint64_t flow_hash, std::uint16_t wire_len,
-    const sketch::VvLayout& layout) noexcept {
-  packets_.inc();
-  last_len_[layout.word_index] = wire_len;
-
-  const auto l1_noise = l1_.encode(layout);
-  if (!l1_noise) return std::nullopt;
+    const sketch::VvLayout& layout, unsigned l1_noise) noexcept {
   l1_saturations_.inc();
   if (trace_) {
     trace_->emit(trace_track_, telemetry::TraceEventKind::kL1Saturation,
-                 flow_hash, static_cast<double>(*l1_noise));
+                 flow_hash, static_cast<double>(l1_noise));
   }
 
-  auto& bank = l2_[*l1_noise - noise_min_];
+  auto& bank = l2_[l1_noise - noise_min_];
   const auto l2_noise = bank.encode(layout);
   if (!l2_noise) return std::nullopt;
   l2_saturations_.inc();
@@ -59,7 +54,7 @@ std::optional<SaturationEvent> FlowRegulator::offer(
   SaturationEvent event;
   // unit(u): packets per L1 saturation; unit(w): L1 saturations per L2
   // saturation — the multiplicative decode of Algorithm 1, lines 13–15.
-  event.est_packets = l1_.unit(*l1_noise) * bank.unit(*l2_noise);
+  event.est_packets = l1_.unit(l1_noise) * bank.unit(*l2_noise);
   event.est_bytes = event.est_packets * static_cast<double>(wire_len);
   emitted_packet_estimate_ += event.est_packets;
   if (trace_) {

@@ -12,9 +12,12 @@
 // The multiplicative two-layer design is what turns RCC's ~12–19% regulation
 // rate into the ~1% the in-DRAM WSAF needs (Figs 1, 7, 8).
 //
-// Deriving a layout from the hash is most of a packet's cost when the
-// sketch sits in cache, so recent layouts are memoized (layout_of): one
-// cache-resident read in place of b + 1 mix64 rounds for a recurring flow.
+// Deriving a layout from the hash takes b + 1 mix64 rounds against the
+// update's one word, so recent layouts are memoized (memo_entry): a
+// recurring flow's layout is read in place from one cache-resident entry.
+// The packet path is inline up to the L1 encode and branches only on a memo
+// miss and on an L1 saturation (a few % of packets); a saturation continues
+// out of line into the L2 bank.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +30,7 @@
 
 namespace instameasure::core {
 
-/// log2 of the layout memo's entry count (see FlowRegulator::layout_of).
+/// log2 of the layout memo's entry count (see FlowRegulator::memo_entry).
 /// Packet-path hit rates on the benchmark's `caida` worker 0 (seed 1):
 /// 2^10 → 0.740, 2^12 → 0.855, 2^14 → 0.938. 2^12 entries of 96 bytes are
 /// 384 KB, beside the 128 KB of sketch they serve.
@@ -75,36 +78,52 @@ class FlowRegulator {
  public:
   explicit FlowRegulator(const FlowRegulatorConfig& config);
 
+  /// One layout-memo entry: a flow's virtual-vector layout (shared by L1
+  /// and every L2 bank) and, as its tag, the full hash it belongs to.
+  struct MemoEntry {
+    std::uint64_t flow_hash;
+    sketch::VvLayout layout;
+  };
+
   /// Process one packet of the flow identified by `flow_hash` carrying
   /// `wire_len` bytes. Returns a SaturationEvent when the flow's counts
   /// should be flushed into the WSAF (≈1% of calls with default config).
   [[nodiscard]] std::optional<SaturationEvent> offer(
       std::uint64_t flow_hash, std::uint16_t wire_len) noexcept {
-    return offer(flow_hash, wire_len, layout_of(flow_hash));
+    return offer(flow_hash, wire_len, memo_entry(flow_hash).layout);
   }
 
   /// Same, with the flow's (L1) layout already computed — the batched
   /// engine derives it once per packet and reuses it across both layers.
-  /// `layout` must equal layout_of(flow_hash) or behavior diverges.
+  /// `layout` must equal the layout memo_entry(flow_hash) holds or behavior
+  /// diverges.
   [[nodiscard]] std::optional<SaturationEvent> offer(
       std::uint64_t flow_hash, std::uint16_t wire_len,
-      const sketch::VvLayout& layout) noexcept;
+      const sketch::VvLayout& layout) noexcept {
+    packets_.inc();
+    last_len_[layout.word_index] = wire_len;
+    const auto l1_noise = l1_.encode(layout);
+    if (!l1_noise) [[likely]] return std::nullopt;
+    return on_l1_saturation(flow_hash, wire_len, layout, *l1_noise);
+  }
 
-  /// The flow's virtual-vector layout (shared by L1 and every L2 bank),
-  /// through the layout memo: a direct-mapped table indexed by the hash's
-  /// top kLayoutMemoBits bits, tagged with the full hash. A hit returns the
-  /// stored layout; a miss derives it (b + 1 mix64 rounds) and overwrites
-  /// the entry. A layout depends only on hash, seed and geometry, so the
-  /// result equals l1_.layout_of(flow_hash) either way and reset() keeps
-  /// the memo. Only the packet path goes through it; the residual queries
+  /// The flow's layout-memo entry: a direct-mapped table indexed by the
+  /// hash's top kLayoutMemoBits bits, tagged with the full hash. A hit
+  /// returns the entry as it is; a miss derives the layout (b + 1 mix64
+  /// rounds) into it. A layout depends only on hash, seed and geometry, so
+  /// the entry's layout equals l1_.layout_of(flow_hash) either way and
+  /// reset() keeps the memo. The reference holds until the next call for a
+  /// flow on the same index, which overwrites the entry: a caller that
+  /// keeps it across calls re-checks `flow_hash` before reading the layout.
+  /// Only the packet path goes through the memo; the residual queries
   /// derive layouts directly and stay const.
-  [[nodiscard]] sketch::VvLayout layout_of(std::uint64_t flow_hash) noexcept {
+  [[nodiscard]] const MemoEntry& memo_entry(std::uint64_t flow_hash) noexcept {
     auto& entry = memo_[flow_hash >> (64 - kLayoutMemoBits)];
     if (entry.flow_hash != flow_hash) {
       entry.flow_hash = flow_hash;
       entry.layout = l1_.layout_of(flow_hash);
     }
-    return entry.layout;
+    return entry;
   }
 
   /// Prefetch the cache lines offer() unconditionally touches for this
@@ -162,6 +181,12 @@ class FlowRegulator {
   void reset() noexcept;
 
  private:
+  /// offer() past an L1 saturation at `l1_noise`: the L2 bank encode, the
+  /// event and the trace emits.
+  [[nodiscard]] std::optional<SaturationEvent> on_l1_saturation(
+      std::uint64_t flow_hash, std::uint16_t wire_len,
+      const sketch::VvLayout& layout, unsigned l1_noise) noexcept;
+
   FlowRegulatorConfig config_;
   sketch::RccSketch l1_;
   std::vector<sketch::RccSketch> l2_;  ///< one bank per noise level
@@ -170,10 +195,6 @@ class FlowRegulator {
   /// residual flush (the event path samples the triggering packet directly).
   std::vector<std::uint16_t> last_len_;
   /// Layout memo: derived values only, so it never changes a count.
-  struct MemoEntry {
-    std::uint64_t flow_hash;
-    sketch::VvLayout layout;
-  };
   std::vector<MemoEntry> memo_;
   // Each count is counted once, in its exported counter (a single-writer
   // cell; see telemetry/metrics.h). reset() moves the accessors' baseline

@@ -256,7 +256,8 @@ void InstaMeasure::process_chunk(const netio::PacketRecord* recs,
 
   // Stage 1: every flow-key hash and virtual-vector layout for the burst,
   // computed once and reused by the regulator, both sketch layers, and the
-  // WSAF below. Each flow's sketch lines are prefetched before its
+  // WSAF below. Each packet keeps a pointer to its layout-memo entry, not a
+  // copy of the layout. Each flow's sketch lines are prefetched before its
   // (PRNG-heavy) layout is derived, so a line's DRAM round trip runs under
   // the remainder of this pass plus every earlier packet's update — whole
   // microseconds of cover against a few hundred nanoseconds of latency. A
@@ -264,12 +265,12 @@ void InstaMeasure::process_chunk(const netio::PacketRecord* recs,
   // the loaded word feeds an unpredictable saturation branch, and a
   // mispredict that waits on DRAM flushes all speculative overlap.
   std::array<std::uint64_t, kBatchChunk> hashes;
-  std::array<sketch::VvLayout, kBatchChunk> layouts;
+  std::array<const FlowRegulator::MemoEntry*, kBatchChunk> entries;
   const bool prefetch = config_.prefetch_distance != 0;
   for (std::size_t i = 0; i < n; ++i) {
     hashes[i] = recs[i].key.hash(config_.seed);
     if (prefetch) regulator_.prefetch(hashes[i]);
-    layouts[i] = regulator_.layout_of(hashes[i]);
+    entries[i] = &regulator_.memo_entry(hashes[i]);
   }
   if constexpr (telemetry::kPerfEnabled) {
     if (perf_sampled) {
@@ -291,8 +292,14 @@ void InstaMeasure::process_chunk(const netio::PacketRecord* recs,
       trace_->emit(trace_track_, telemetry::TraceEventKind::kPacket,
                    hashes[i], static_cast<double>(recs[i].wire_len));
     }
+    // A later packet of this chunk whose flow shares the memo index
+    // overwrote the entry stage 1 found: derive it again.
+    const FlowRegulator::MemoEntry* entry = entries[i];
+    if (entry->flow_hash != hashes[i]) [[unlikely]] {
+      entry = &regulator_.memo_entry(hashes[i]);
+    }
     if (const auto event =
-            regulator_.offer(hashes[i], recs[i].wire_len, layouts[i])) {
+            regulator_.offer(hashes[i], recs[i].wire_len, entry->layout)) {
       // Shared mode: the private shard is a stub, so prefetching its
       // slots would warm nothing the accumulate touches.
       if (prefetch && shared_ == nullptr) wsaf_.prefetch(hashes[i]);

@@ -100,8 +100,11 @@ struct EngineConfig {
   /// the update pass, and saturation events' WSAF slots get the rest of
   /// the chunk as cover. 0 disables all prefetching (batching still
   /// applies); any nonzero value enables it — the knob is an on/off and
-  /// A/B switch, results are bit-identical either way. See
-  /// docs/PERFORMANCE.md.
+  /// A/B switch, results are bit-identical either way. As built by GCC 12
+  /// the hints compile to nothing: the prefetch helpers are const, return
+  /// void and hold only __builtin_prefetch, so the compiler deems them
+  /// pure and deletes the calls, and 0 and 8 produce the same machine
+  /// code. See docs/PERFORMANCE.md, "The prefetch knob".
   unsigned prefetch_distance = 8;
   /// Shared-table mode: when set, the engine accumulates into (and queries)
   /// this striped table instead of its own private shard — every worker of

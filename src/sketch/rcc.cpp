@@ -47,27 +47,6 @@ RccSketch::RccSketch(const RccConfig& config)
       words_(n_words_, 0),
       draw_rng_(config.seed ^ 0xdeadbeefcafef00dULL) {}
 
-std::optional<unsigned> RccSketch::encode(const VvLayout& layout) noexcept {
-  ++packets_;
-  std::uint64_t& word = words_[layout.word_index];
-  const auto slot = static_cast<unsigned>(
-      util::reduce_range(draw_rng_(), layout.bits));
-  const std::uint64_t bit = 1ULL << layout.pos[slot];
-
-  if (word & bit) {
-    // Collision: saturation if the vector is nearly full, silent otherwise.
-    const unsigned z = layout.zeros_in(word);
-    if (z <= noise_max_) {
-      word &= ~layout.mask;  // recycle: clear only this flow's positions
-      ++saturations_;
-      return z < noise_min_ ? noise_min_ : z;
-    }
-    return std::nullopt;
-  }
-  word |= bit;
-  return std::nullopt;
-}
-
 void RccSketch::reset() noexcept {
   std::fill(words_.begin(), words_.end(), 0);
   packets_ = 0;

@@ -77,7 +77,35 @@ class RccSketch {
   /// Encode one packet. Returns the noise level if this packet saturated the
   /// flow's vector (the vector is recycled before returning); nullopt
   /// otherwise. O(1): one word read-modify-write.
-  [[nodiscard]] std::optional<unsigned> encode(const VvLayout& layout) noexcept;
+  ///
+  /// A drawn bit that is already set is a collision, and a collision with
+  /// at most noise_max zeros left is a saturation. Both tests are all-ones
+  /// or all-zero masks and the word is written once, so the only branch is
+  /// the rare saturation: a jump on the collision test would depend on a
+  /// random draw and on the word just loaded, and mispredict often.
+  [[nodiscard]] std::optional<unsigned> encode(const VvLayout& layout) noexcept {
+    ++packets_;
+    std::uint64_t& word = words_[layout.word_index];
+    const std::uint64_t w = word;
+    const auto slot = static_cast<unsigned>(
+        util::reduce_range(draw_rng_(), layout.bits));
+    const unsigned p = layout.pos[slot];
+    const unsigned z = layout.zeros_in(w);
+    const std::uint64_t collided = 0 - ((w >> p) & 1);
+    // z <= noise_max_ as the sign of z - noise_max_ - 1 (both are <= 64).
+    const auto in_band = static_cast<std::uint64_t>(
+        (static_cast<std::int64_t>(z) - noise_max_ - 1) >> 63);
+    const std::uint64_t sat = collided & in_band;
+    const std::uint64_t set = w | (std::uint64_t{1} << p);
+    // No collision: set the bit. Saturation: clear only this flow's
+    // positions (recycle). A silent collision leaves the word as it was.
+    word = set ^ ((set ^ (w & ~layout.mask)) & sat);
+    if (sat != 0) [[unlikely]] {
+      ++saturations_;
+      return z < noise_min_ ? noise_min_ : z;
+    }
+    return std::nullopt;
+  }
 
   /// Zero-bit count of the flow's vector right now (for residual decoding).
   [[nodiscard]] unsigned zeros(const VvLayout& layout) const noexcept {

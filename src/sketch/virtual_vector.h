@@ -18,6 +18,12 @@
 #include "util/hash.h"
 #include "util/rng.h"
 
+// zeros_in() runs on every packet. Without POPCNT, std::popcount lowers to
+// a libgcc call per packet; the root CMakeLists.txt adds -mpopcnt on x86-64.
+#if defined(__x86_64__) && !defined(__POPCNT__)
+#error "x86-64 builds need POPCNT: compile with -mpopcnt"
+#endif
+
 namespace instameasure::sketch {
 
 inline constexpr std::size_t kWordBits = 64;
@@ -52,7 +58,10 @@ struct VvLayout {
 ///
 /// Positions are drawn from a SplitMix64 stream keyed by the flow hash;
 /// duplicates are resolved by linear probing within the word so the vector
-/// always has exactly `vv_bits` distinct bits.
+/// always has exactly `vv_bits` distinct bits. The probe takes the first
+/// free position at or after the draw, cyclically, in one step: the free
+/// positions rotated so the draw sits at bit 0, then their lowest set bit.
+/// `~mask` is never zero there, since at most 63 positions are taken.
 [[nodiscard]] inline VvLayout make_layout(std::uint64_t flow_hash,
                                           std::uint64_t n_words,
                                           unsigned vv_bits,
@@ -64,7 +73,9 @@ struct VvLayout {
                         0xc0ffee123456789ULL};
   for (unsigned i = 0; i < vv_bits; ++i) {
     auto p = static_cast<unsigned>(prng() % kWordBits);
-    while (layout.mask & (1ULL << p)) p = (p + 1) % kWordBits;
+    p = (p + static_cast<unsigned>(std::countr_zero(
+                 std::rotr(~layout.mask, static_cast<int>(p))))) %
+        kWordBits;
     layout.pos[i] = static_cast<std::uint8_t>(p);
     layout.mask |= 1ULL << p;
   }

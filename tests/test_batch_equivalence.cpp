@@ -178,6 +178,36 @@ TEST(BatchEquivalence, SingleFlowBurstSaturatesMidBatch) {
   }
 }
 
+// Two flows on one layout-memo entry, alternating inside every 64-packet
+// chunk: stage 1 keeps a pointer to the entry per packet, and each packet's
+// miss overwrites the entry the previous one found, so stage 2 must notice
+// the other flow's tag and derive its own layout again.
+TEST(BatchEquivalence, MemoCollidingFlowsInterleavedInOneChunk) {
+  const auto seed = test_config().seed;
+  const auto memo_index = [&](const netio::FlowKey& key) {
+    return key.hash(seed) >> (64 - kLayoutMemoBits);
+  };
+  const netio::FlowKey a{0x0a000001, 0x0a000002, 40000, 443, 6};
+  netio::FlowKey b = a;
+  do {
+    ++b.src_port;
+  } while (memo_index(b) != memo_index(a));
+  ASSERT_NE(a.hash(seed), b.hash(seed));
+
+  for (const bool a_first : {true, false}) {
+    const auto& first = a_first ? a : b;
+    const auto& second = a_first ? b : a;
+    trace::Trace trace;
+    trace.name = a_first ? "memo-collision-ab" : "memo-collision-ba";
+    for (std::uint64_t i = 0; i < 64 * 2'000; ++i) {
+      trace.packets.push_back({i * 100, i % 2 == 0 ? first : second, 700});
+    }
+    const auto scalar = run_scalar(trace);
+    ASSERT_FALSE(scalar.detections().empty());
+    expect_equivalent(scalar, run_batched(trace, 64), trace, trace.name);
+  }
+}
+
 // Randomly ragged spans (1..150 packets) partitioning the trace: batch
 // boundaries at arbitrary offsets must be invisible.
 TEST(BatchEquivalence, RaggedSpanPartition) {

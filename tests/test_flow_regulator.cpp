@@ -192,7 +192,7 @@ INSTANTIATE_TEST_SUITE_P(FlowSizes, FrFlowSizeTest,
 
 // ---- layout memo vs a memo-free reference ----
 //
-// FlowRegulator::layout_of serves layouts from a memo. The batch-equivalence
+// FlowRegulator::memo_entry serves layouts from a memo. The batch-equivalence
 // suite cannot catch a wrong memo (both of its sides go through it), so this
 // reference rebuilds the regulator from its parts, seeded as the constructor
 // seeds them, and derives every packet's layout with sketch::make_layout.

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/flow_regulator.h"
@@ -229,6 +231,109 @@ TEST_P(RccVectorSizeTest, LargerVectorsSaturateLessOften) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, RccVectorSizeTest,
                          ::testing::Values(4u, 8u, 16u, 32u));
+
+// ---- branch-free encode vs the branchy original ----
+//
+// RccSketch::encode folds its collision and noise-band tests into masks and
+// writes the word once. This reference keeps the branchy body it replaced,
+// verbatim, over its own word array and a draw stream seeded as RccSketch
+// seeds its own, so both sides draw the same slot for every packet.
+
+class BranchyRcc {
+ public:
+  explicit BranchyRcc(const RccConfig& config)
+      : noise_min_(config.noise_min),
+        noise_max_(config.effective_noise_max()),
+        words_(config.n_words(), 0),
+        draw_rng_(config.seed ^ 0xdeadbeefcafef00dULL) {}
+
+  std::optional<unsigned> encode(const VvLayout& layout) noexcept {
+    ++packets_;
+    std::uint64_t& word = words_[layout.word_index];
+    const auto slot = static_cast<unsigned>(
+        util::reduce_range(draw_rng_(), layout.bits));
+    const std::uint64_t bit = 1ULL << layout.pos[slot];
+
+    if (word & bit) {
+      // Collision: saturation if the vector is nearly full, silent otherwise.
+      const unsigned z = layout.zeros_in(word);
+      if (z <= noise_max_) {
+        word &= ~layout.mask;  // recycle: clear only this flow's positions
+        ++saturations_;
+        return z < noise_min_ ? noise_min_ : z;
+      }
+      return std::nullopt;
+    }
+    word |= bit;
+    return std::nullopt;
+  }
+
+  unsigned zeros(const VvLayout& layout) const noexcept {
+    return layout.zeros_in(words_[layout.word_index]);
+  }
+  std::uint64_t packets_encoded() const noexcept { return packets_; }
+  std::uint64_t saturations() const noexcept { return saturations_; }
+
+ private:
+  unsigned noise_min_;
+  unsigned noise_max_;
+  std::vector<std::uint64_t> words_;
+  util::SplitMix64 draw_rng_;
+  std::uint64_t packets_ = 0;
+  std::uint64_t saturations_ = 0;
+};
+
+/// (vv_bits, noise_min, noise_max); noise_max 0 derives 3b/8.
+using EncodeBand = std::tuple<unsigned, unsigned, unsigned>;
+
+class RccSketchBranchyReference : public ::testing::TestWithParam<EncodeBand> {};
+
+TEST_P(RccSketchBranchyReference, EveryStepMatches) {
+  const auto [b, noise_min, noise_max] = GetParam();
+  for (const std::uint64_t seed : {0x1237ULL, 0xabcdef12345ULL}) {
+    RccConfig config;
+    config.memory_bytes = 256;  // 32 words: flows share words, bits collide
+    config.vv_bits = b;
+    config.noise_min = noise_min;
+    config.noise_max = noise_max;
+    config.seed = seed;
+    RccSketch sketch{config};
+    BranchyRcc reference{config};
+
+    // 300 flows, skewed so some saturate often and the rest add noise.
+    std::vector<VvLayout> layouts;
+    util::SplitMix64 flow_hashes{seed};
+    for (int f = 0; f < 300; ++f) {
+      layouts.push_back(sketch.layout_of(flow_hashes()));
+    }
+    util::Xoshiro256ss pick{seed + b};
+    for (int i = 0; i < 200'000; ++i) {
+      const auto r = pick();
+      const auto f = (r & 1) != 0 ? r % 8 : r % layouts.size();
+      const auto& layout = layouts[f];
+      const auto got = sketch.encode(layout);
+      const auto want = reference.encode(layout);
+      ASSERT_EQ(got, want) << "packet " << i << ", seed " << seed;
+      ASSERT_EQ(sketch.zeros(layout), reference.zeros(layout))
+          << "packet " << i << ", seed " << seed;
+      ASSERT_EQ(sketch.saturations(), reference.saturations())
+          << "packet " << i;
+    }
+    EXPECT_EQ(sketch.packets_encoded(), reference.packets_encoded());
+    EXPECT_GT(sketch.saturations(), 0u) << "the band was never reached";
+    for (const auto& layout : layouts) {
+      EXPECT_EQ(sketch.zeros(layout), reference.zeros(layout));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Bands, RccSketchBranchyReference,
+    ::testing::Values(EncodeBand{2, 1, 1}, EncodeBand{8, 1, 0},
+                      EncodeBand{8, 2, 3}, EncodeBand{8, 3, 5},
+                      EncodeBand{16, 1, 0}, EncodeBand{16, 4, 10},
+                      EncodeBand{32, 1, 0}, EncodeBand{32, 6, 20},
+                      EncodeBand{32, 1, 31}));
 
 }  // namespace
 }  // namespace instameasure::sketch

@@ -76,5 +76,50 @@ TEST(VvLayout, FullWordVectorIsAllOnes) {
   EXPECT_EQ(layout.mask, ~0ULL);
 }
 
+// ---- branch-free probe vs the linear-probe loop ----
+//
+// make_layout resolves a duplicate draw in one rotate + count-trailing-zeros
+// step. This reference keeps the step-by-step probe it replaced: walk up
+// from the draw, wrapping at the word's end, to the first free position.
+
+VvLayout linear_probe_layout(std::uint64_t flow_hash, std::uint64_t n_words,
+                             unsigned vv_bits, std::uint64_t seed) {
+  VvLayout layout;
+  layout.word_index = layout_word_index(flow_hash, n_words, seed);
+  layout.bits = static_cast<std::uint8_t>(vv_bits);
+  util::SplitMix64 prng{flow_hash ^ (seed * 0x9e3779b97f4a7c15ULL) ^
+                        0xc0ffee123456789ULL};
+  for (unsigned i = 0; i < vv_bits; ++i) {
+    auto p = static_cast<unsigned>(prng() % kWordBits);
+    while (layout.mask & (1ULL << p)) p = (p + 1) % kWordBits;
+    layout.pos[i] = static_cast<std::uint8_t>(p);
+    layout.mask |= 1ULL << p;
+  }
+  return layout;
+}
+
+class VvLayoutProbeReference : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(VvLayoutProbeReference, BranchFreeProbeMatchesLinearProbe) {
+  const unsigned b = GetParam();
+  for (const std::uint64_t seed : {0ULL, 0x1237ULL, 0xfeedfacecafebeefULL}) {
+    util::SplitMix64 hashes{seed + b};
+    for (int n = 0; n < 100'000; ++n) {
+      const std::uint64_t h = hashes();
+      const auto got = make_layout(h, 4096, b, seed);
+      const auto want = linear_probe_layout(h, 4096, b, seed);
+      ASSERT_EQ(got.word_index, want.word_index) << "hash " << h;
+      ASSERT_EQ(got.mask, want.mask) << "hash " << h;
+      ASSERT_EQ(got.bits, want.bits);
+      // Position order decides which bit each draw slot sets, so it is
+      // part of the layout, not just the mask.
+      ASSERT_EQ(got.pos, want.pos) << "hash " << h << ", seed " << seed;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, VvLayoutProbeReference,
+                         ::testing::Values(2u, 8u, 16u, 32u, 63u, 64u));
+
 }  // namespace
 }  // namespace instameasure::sketch
