@@ -33,36 +33,30 @@ int main(int argc, char** argv) {
   std::printf("host parallelism: %u hardware thread(s)%s\n", host_cores,
               host_cores < 2 ? "  [scaling cannot materialize here]" : "");
 
-  // Both worker drain paths, A/B per worker count: "batch" is the
-  // prefetch-pipelined process_batch() hot path (the default), "scalar" the
-  // looped per-packet process() baseline. Same dispatch, same shards — the
-  // Mpps delta is what the batching buys end to end.
-  analysis::Table table{{"workers", "path", "wall (s)", "Mpps",
-                         "producer stalls", "max queue depth"}};
-  std::vector<double> mpps;       // batched path, per worker count
-  std::vector<double> mpps_scalar;
+  // Workers drain their queues through process_batch(), the path the
+  // repo benchmark's core_cycles_per_pkt times.
+  analysis::Table table{{"workers", "wall (s)", "Mpps", "producer stalls",
+                         "max queue depth"}};
+  std::vector<double> mpps;  // per worker count
   telemetry::Registry registry;
   for (unsigned w = 1; w <= max_workers; ++w) {
-    for (const bool batched : {true, false}) {
-      runtime::MultiCoreConfig config;
-      config.workers = w;
-      config.batched = batched;
-      config.engine.regulator.l1_memory_bytes = 32 * 1024;
-      config.engine.wsaf.log2_entries = 20;
-      config.registry = &registry;
-      runtime::MultiCoreEngine engine{config};
-      const auto stats = engine.run(trace);
-      (batched ? mpps : mpps_scalar).push_back(stats.mpps);
-      std::size_t max_depth = 0;
-      for (const auto d : stats.max_queue_depth) {
-        max_depth = std::max(max_depth, d);
-      }
-      table.add_row({analysis::cell("%u", w), batched ? "batch" : "scalar",
-                     analysis::cell("%.3f", stats.wall_seconds),
-                     analysis::cell("%.2f", stats.mpps),
-                     util::format_count(stats.producer_stalls),
-                     util::format_count(max_depth)});
+    runtime::MultiCoreConfig config;
+    config.workers = w;
+    config.engine.regulator.l1_memory_bytes = 32 * 1024;
+    config.engine.wsaf.log2_entries = 20;
+    config.registry = &registry;
+    runtime::MultiCoreEngine engine{config};
+    const auto stats = engine.run(trace);
+    mpps.push_back(stats.mpps);
+    std::size_t max_depth = 0;
+    for (const auto d : stats.max_queue_depth) {
+      max_depth = std::max(max_depth, d);
     }
+    table.add_row({analysis::cell("%u", w),
+                   analysis::cell("%.3f", stats.wall_seconds),
+                   analysis::cell("%.2f", stats.mpps),
+                   util::format_count(stats.producer_stalls),
+                   util::format_count(max_depth)});
   }
   table.print();
 

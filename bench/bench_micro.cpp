@@ -203,12 +203,13 @@ BENCHMARK(BM_WsafInsert)->Arg(0)->Arg(1);
 // The engine benchmarks share one DRAM-resident workload: a 512 MB L1
 // sketch hit by 2^23 distinct flows in random order, so each packet's
 // sketch word (and its last_len sample) is a likely LLC miss — the regime
-// the paper's in-DRAM design targets and the one where the batched
-// prefetch pipeline earns its keep. The sketch is deliberately sized far
-// past server LLCs (build hosts report up to ~260 MB of L3): a cache-hot
-// microloop would hide the entire memory stall the batch path exists to
-// overlap. All engine variants use the same workload so their Mpps
-// counters stay directly comparable.
+// the paper's in-DRAM design targets. The sketch is deliberately sized far
+// past server LLCs (build hosts report up to ~260 MB of L3), so the memory
+// stall is in every row rather than hidden by a cache-hot microloop.
+// scripts/check_batch_speedup.sh gates the batch path's stage split
+// (hashes, then regulator updates, then the WSAF drain) against scalar
+// process() on this workload. All engine variants use the same workload so
+// their Mpps counters stay directly comparable.
 
 constexpr std::size_t kEnginePoolSize = 1 << 23;
 constexpr std::size_t kEnginePoolMask = kEnginePoolSize - 1;
@@ -247,7 +248,7 @@ void BM_EngineProcess(benchmark::State& state) {
 BENCHMARK(BM_EngineProcess);
 
 // The batched pipeline over the same workload: one iteration = one batch
-// of Arg(0) packets (hash precompute, distance-K regulator prefetch,
+// of Arg(0) packets (hash and layout-memo pass, regulator-update pass,
 // deferred WSAF drain). Compare the Mpps counter against BM_EngineProcess;
 // the acceptance floor for batch=32 is 1.3x (scripts/check_batch_speedup.sh
 // gates CI at batch >= 0.95x scalar as a regression tripwire).

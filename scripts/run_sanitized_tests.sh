@@ -8,9 +8,9 @@
 # tests/test_audit.cpp, where a reader thread snapshots the auditors'
 # relaxed single-writer cells while the multicore engine ingests).
 # The telemetry fast path is wait-free single-writer atomics and the
-# multi-core batch pipeline prefetches shared-nothing shards — exactly the
-# kind of code where a stray data race or UB hides until a sanitizer
-# shakes it out.
+# multi-core workers drain shared-nothing shards through SPSC queues —
+# exactly the kind of code where a stray data race or UB hides until a
+# sanitizer shakes it out.
 #
 # Three phases, because TSan cannot be combined with ASan:
 #   1. address,undefined,float-cast-overflow over the full concurrency
@@ -24,8 +24,9 @@
 #      outside an integer type's range cast to it), so it is named
 #      explicitly;
 #   2. thread over the MultiCore + SPSC suites, repeated 3x so the
-#      determinism test (same trace => bit-identical per-shard WSAF) gets
-#      multiple thread schedules to betray a race under;
+#      determinism test (same trace => per-shard WSAF bit-identical across
+#      runs and to a serial process() reference) gets multiple thread
+#      schedules to betray a race under;
 #   3. the same thread phase with IM_WSAF_LAYOUT=bucketed, so the shared
 #      worker/WSAF paths race-check against the bucketed layout too.
 # Set SANITIZE to run a single custom phase instead (REPEAT=n to repeat).

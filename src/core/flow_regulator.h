@@ -126,17 +126,6 @@ class FlowRegulator {
     return entry;
   }
 
-  /// Prefetch the cache lines offer() unconditionally touches for this
-  /// flow: the L1 word and its per-word length sample. The L2 banks share
-  /// the index but are only read on an L1 saturation (a few % of packets),
-  /// so prefetching them every packet would waste more bandwidth than the
-  /// rare miss costs. A hint only — no state change.
-  void prefetch(std::uint64_t flow_hash) const noexcept {
-    const auto wi = l1_.word_index_of(flow_hash);
-    l1_.prefetch_word(wi);
-    __builtin_prefetch(static_cast<const void*>(last_len_.data() + wi), 1, 3);
-  }
-
   /// Residual packets currently retained for this flow across both layers
   /// (not yet emitted to WSAF). Used by end-of-epoch queries so mice flows
   /// are countable too.

@@ -8,9 +8,10 @@ namespace instameasure::core {
 
 namespace {
 
-/// Batch chunk size: large enough to amortize the pipeline passes and give
-/// the prefetcher runway, small enough that the per-chunk scratch (hashes,
-/// pending events) stays a few KB of hot stack.
+/// Batch chunk size: large enough to amortize the per-chunk work of the
+/// stage split (one perf sample, one publish tick), small enough that the
+/// per-chunk scratch (hashes, memo-entry pointers, pending events) stays a
+/// few KB of hot stack.
 constexpr std::size_t kBatchChunk = 64;
 
 using SteadyClock = std::chrono::steady_clock;
@@ -218,9 +219,11 @@ void InstaMeasure::process_batch(std::span<const netio::PacketRecord> batch) {
 
 void InstaMeasure::process_batch(
     std::span<const netio::PacketRecord* const> batch) {
-  // Gather the pointed-to records into a contiguous chunk: 24-byte copies
-  // are noise next to the DRAM lines the pipeline exists to hide, and the
-  // compacted chunk keeps stage 1 streaming instead of pointer-chasing.
+  // Gather the pointed-to records into a contiguous chunk of 32-byte
+  // copies, so every stage reads one array instead of chasing pointers.
+  // The gather is not free: an rdtsc-bracketed single-thread pass over
+  // the benchmark's `caida` workload measured it at 14.5-14.8 cycles per
+  // packet (4-vCPU KVM guest, Intel Xeon).
   std::array<netio::PacketRecord, kBatchChunk> chunk;
   while (!batch.empty()) {
     const std::size_t n = std::min(batch.size(), kBatchChunk);
@@ -257,19 +260,13 @@ void InstaMeasure::process_chunk(const netio::PacketRecord* recs,
   // Stage 1: every flow-key hash and virtual-vector layout for the burst,
   // computed once and reused by the regulator, both sketch layers, and the
   // WSAF below. Each packet keeps a pointer to its layout-memo entry, not a
-  // copy of the layout. Each flow's sketch lines are prefetched before its
-  // (PRNG-heavy) layout is derived, so a line's DRAM round trip runs under
-  // the remainder of this pass plus every earlier packet's update — whole
-  // microseconds of cover against a few hundred nanoseconds of latency. A
-  // distance-K rolling prefetch inside the update loop is not enough here:
-  // the loaded word feeds an unpredictable saturation branch, and a
-  // mispredict that waits on DRAM flushes all speculative overlap.
+  // copy of the layout. Running the chunk's hashes and memo lookups back
+  // to back, apart from the updates, is the stage split that the batch
+  // path's gain over process() comes from (docs/PERFORMANCE.md).
   std::array<std::uint64_t, kBatchChunk> hashes;
   std::array<const FlowRegulator::MemoEntry*, kBatchChunk> entries;
-  const bool prefetch = config_.prefetch_distance != 0;
   for (std::size_t i = 0; i < n; ++i) {
     hashes[i] = recs[i].key.hash(config_.seed);
-    if (prefetch) regulator_.prefetch(hashes[i]);
     entries[i] = &regulator_.memo_entry(hashes[i]);
   }
   if constexpr (telemetry::kPerfEnabled) {
@@ -278,9 +275,9 @@ void InstaMeasure::process_chunk(const netio::PacketRecord* recs,
     }
   }
 
-  // Stage 2: regulator updates against warm lines. Saturation events are
-  // parked instead of handled inline so their WSAF slot prefetches get the
-  // rest of the chunk as latency cover.
+  // Stage 2: regulator updates, one sketch word per packet (two on an L1
+  // saturation). Saturation events are parked instead of handled inline,
+  // so this loop never enters the WSAF.
   struct Pending {
     std::uint32_t index;
     SaturationEvent event;
@@ -300,9 +297,6 @@ void InstaMeasure::process_chunk(const netio::PacketRecord* recs,
     }
     if (const auto event =
             regulator_.offer(hashes[i], recs[i].wire_len, entry->layout)) {
-      // Shared mode: the private shard is a stub, so prefetching its
-      // slots would warm nothing the accumulate touches.
-      if (prefetch && shared_ == nullptr) wsaf_.prefetch(hashes[i]);
       pending[n_pending].index = static_cast<std::uint32_t>(i);
       pending[n_pending].event = *event;
       ++n_pending;
@@ -333,8 +327,7 @@ void InstaMeasure::process_chunk(const netio::PacketRecord* recs,
   // Audit pass: one loop over the chunk after the drain, so comparisons
   // read end-of-chunk estimates (the scalar path compares mid-stream; both
   // converge to the identical final_sweep numbers — the differential suite
-  // pins that). Keeping it out of stages 1-3 leaves their prefetch overlap
-  // untouched; the unsampled reject is one hash + mask test per packet.
+  // pins that). The unsampled reject is one hash + mask test per packet.
   if (audit_) {
     for (std::size_t i = 0; i < n; ++i) {
       if (auto* flow = audit_->observe(recs[i].key, recs[i].wire_len,

@@ -95,25 +95,13 @@ struct EngineConfig {
   /// the estimates bit-identical.
   bool enable_audit = false;
   audit::AuditConfig audit{};
-  /// Software prefetch in the batched path: the layout pass prefetches
-  /// each packet's sketch lines a full chunk (up to 64 packets) ahead of
-  /// the update pass, and saturation events' WSAF slots get the rest of
-  /// the chunk as cover. 0 disables all prefetching (batching still
-  /// applies); any nonzero value enables it — the knob is an on/off and
-  /// A/B switch, results are bit-identical either way. As built by GCC 12
-  /// the hints compile to nothing: the prefetch helpers are const, return
-  /// void and hold only __builtin_prefetch, so the compiler deems them
-  /// pure and deletes the calls, and 0 and 8 produce the same machine
-  /// code. See docs/PERFORMANCE.md, "The prefetch knob".
-  unsigned prefetch_distance = 8;
   /// Shared-table mode: when set, the engine accumulates into (and queries)
   /// this striped table instead of its own private shard — every worker of
   /// a MultiCoreEngine can then touch every flow, which is what makes
   /// work-stealing sound. Non-owning; the pointed-to table must outlive the
   /// engine. Side effects: the private WSAF shrinks to a stub, publish_views
   /// is forced off (the table's owner publishes ONE channel for the whole
-  /// table), WSAF slot prefetching is disabled (the private shard is a
-  /// stub), and all engines sharing the table MUST use the same `seed`
+  /// table), and all engines sharing the table MUST use the same `seed`
   /// (the table is keyed by the hashes the engines compute). See
   /// docs/RESILIENCE.md "Shared-table mode and work-stealing".
   SharedWsaf* shared_wsaf = nullptr;
@@ -129,12 +117,11 @@ class InstaMeasure {
   /// Batched fast path. Semantically identical to calling process() on
   /// every record in order — bit-identical WSAF contents, detections, and
   /// counters for any batch size (the differential suite in
-  /// tests/test_batch_equivalence.cpp is the contract) — but internally
-  /// pipelined: flow-key hashes for the burst are computed once up front,
-  /// sketch lines for packet i+K are software-prefetched while packet i
-  /// updates, and the (rare) saturation events are drained into the WSAF in
-  /// a final pass whose slots were prefetched at discovery time. Arbitrary
-  /// span lengths are accepted; chunking is internal.
+  /// tests/test_batch_equivalence.cpp is the contract) — but split into
+  /// stages over chunks of up to 64 packets: every hash and layout-memo
+  /// lookup first, then every regulator update, then the (rare) saturation
+  /// events drained into the WSAF in packet order. Arbitrary span lengths
+  /// are accepted; chunking is internal.
   void process_batch(std::span<const netio::PacketRecord> batch);
 
   /// Gather flavor for burst consumers that hold pointers into a queue

@@ -205,27 +205,6 @@ class WsafTable {
                          double est_packets, double est_bytes,
                          std::uint64_t now_ns);
 
-  /// Prefetch the head of the flow's probe sequence. A pure hint: no state
-  /// change, no telemetry, no double-count; the batched engine issues it as
-  /// soon as a saturation event is discovered, packets before the
-  /// accumulate() drain touches the line.
-  ///   kScalarProbe: slots i = 0 and 1 — the window accumulate() resolves
-  ///   in for the overwhelming majority of events.
-  ///   kBucketed: exactly one line, the home bucket's metadata; the tag
-  ///   compare resolves there and names the single entry line to touch.
-  void prefetch(std::uint64_t flow_hash) const noexcept {
-    if (config_.layout == WsafLayout::kBucketed) {
-      __builtin_prefetch(
-          static_cast<const void*>(buckets_.data() + bucket_of(flow_hash, 0)),
-          1, 1);
-      return;
-    }
-    __builtin_prefetch(
-        static_cast<const void*>(slots_.data() + slot_of(flow_hash, 0)), 1, 1);
-    __builtin_prefetch(
-        static_cast<const void*>(slots_.data() + slot_of(flow_hash, 1)), 1, 1);
-  }
-
   /// Find the live entry for a flow as of `now_ns` (trace time). Entries
   /// idle past idle_timeout_ns are invisible — accumulate() would treat
   /// them as expired/GC-able, so returning them would serve dead state.

@@ -5,8 +5,8 @@
 // makes that read/write decoupling concrete: the data plane periodically
 // copies its live entries (flow key, packets, bytes, first/last seen) into
 // a view and publishes it through a SnapshotChannel (snapshot_channel.h);
-// every read-side consumer — QueryEngine, EpochEngine history, TopKTracker
-// exports, dashboards — operates on views and never touches the mutable
+// every read-side consumer — QueryEngine, TopKTracker exports,
+// dashboards — operates on views and never touches the mutable
 // table. Related designs make the same split: FlowRadar decouples encode
 // from periodic decode, Elastic Sketch reads its heavy part out-of-band.
 //

@@ -7,10 +7,8 @@
 #pragma once
 
 // Core measurement plane.
-#include "core/epoch_engine.h"
 #include "core/flow_regulator.h"
 #include "core/instameasure.h"
-#include "core/multilayer_regulator.h"
 #include "core/topk.h"
 #include "core/topk_tracker.h"
 #include "core/wsaf_export.h"

@@ -313,10 +313,10 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
           trace->emit(w, telemetry::TraceEventKind::kBatchBegin, 0,
                       static_cast<double>(count));
         }
-        // Weight-1 runs take the batched prefetch pipeline through a pointer
-        // gather (bit-identical to batching the records); a weighted item —
-        // shed-ladder compensation — is replayed weight times through the
-        // scalar path so both packet and byte estimates scale back up.
+        // Weight-1 runs go through process_batch's pointer gather
+        // (bit-identical to process() on each record in order); a weighted
+        // item — shed-ladder compensation — is replayed weight times
+        // through process() so both packet and byte estimates scale back up.
         std::size_t i = 0;
         while (i < count) {
           if (burst[i].weight == 1) {
@@ -325,12 +325,8 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
               ptrs[run_len] = &burst[i + run_len].rec;
               ++run_len;
             }
-            if (config_.batched) {
-              engine.process_batch(std::span<const netio::PacketRecord* const>{
-                  ptrs.data(), run_len});
-            } else {
-              for (std::size_t j = 0; j < run_len; ++j) engine.process(*ptrs[j]);
-            }
+            engine.process_batch(std::span<const netio::PacketRecord* const>{
+                ptrs.data(), run_len});
             i += run_len;
           } else {
             // Tell the auditor this flow's exact account is about to absorb

@@ -91,12 +91,6 @@ struct MultiCoreConfig {
   std::size_t queue_capacity = 1 << 14;
   DispatchPolicy dispatch = DispatchPolicy::kPopcount;
   OverloadConfig overload{};
-  /// Workers drain their queue in bursts either through the engine's
-  /// batched prefetch pipeline (default) or as scalar process() calls.
-  /// Semantically invisible — per-shard state is bit-identical either way
-  /// (see tests/test_batch_equivalence.cpp); the scalar path remains as the
-  /// A/B baseline for the Fig 9a throughput reproduction.
-  bool batched = true;
   /// Live query plane: every worker publishes WsafViews of its shard at
   /// the `query_plane` cadence (shard/registry/trace wiring is filled in
   /// per worker) and queries() answers over them while run() is in flight.

@@ -60,20 +60,6 @@ class RccSketch {
     return make_layout(flow_hash, n_words_, vv_bits_, seed_);
   }
 
-  /// Word index only — the cheap prefix of layout_of() (one hash mix, no
-  /// PRNG draws). Batched callers use it to prefetch ahead of the update.
-  [[nodiscard]] std::uint64_t word_index_of(
-      std::uint64_t flow_hash) const noexcept {
-    return layout_word_index(flow_hash, n_words_, seed_);
-  }
-
-  /// Pull the word holding a flow's virtual vector toward the cache with
-  /// write intent. Purely a hint: never changes sketch state or results.
-  void prefetch_word(std::uint64_t word_index) const noexcept {
-    __builtin_prefetch(
-        static_cast<const void*>(words_.data() + word_index), 1, 3);
-  }
-
   /// Encode one packet. Returns the noise level if this packet saturated the
   /// flow's vector (the vector is recycled before returning); nullopt
   /// otherwise. O(1): one word read-modify-write.

@@ -43,10 +43,8 @@ struct VvLayout {
   }
 };
 
-/// Word index a flow maps to, without drawing the bit positions. This is
-/// the cheap prefix of make_layout(): batch pipelines use it to prefetch a
-/// flow's word line long before the (PRNG-heavy) full layout is needed.
-/// Must stay in lockstep with make_layout so prefetches hit the same line.
+/// Word index a flow maps to, without drawing the bit positions: the first
+/// step of make_layout().
 [[nodiscard]] inline std::uint64_t layout_word_index(
     std::uint64_t flow_hash, std::uint64_t n_words,
     std::uint64_t seed = 0) noexcept {

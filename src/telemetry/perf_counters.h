@@ -123,7 +123,7 @@ struct PerfReading {
 /// as misses-per-probe, the number the cache-line-bucketed WSAF rebuild
 /// must drive to ~1.
 enum class PerfStage : unsigned {
-  kHashLayout = 0,    ///< stage 1: hash + layout precompute (+ prefetch)
+  kHashLayout = 0,    ///< stage 1: hash + layout-memo lookup
   kRegulatorUpdate,   ///< stage 2: sketch read-modify-write per packet
   kWsafDrain,         ///< stage 3: WSAF probe/drain of saturation events
   kStageCount

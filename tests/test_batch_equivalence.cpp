@@ -1,5 +1,5 @@
 // Differential batch-vs-scalar suite: the contract that makes the batched
-// prefetch pipeline shippable. For every trace × batch size below,
+// stage split shippable. For every trace × batch size below,
 // process_batch() must leave the engine in a state BIT-IDENTICAL to scalar
 // process() calls — WSAF snapshot bytes, detection lists, regulator and
 // table counters, per-flow query results, and the streaming top-K. Any
@@ -241,21 +241,6 @@ TEST(BatchEquivalence, PointerGatherOverloadMatches) {
                                                   64, all.size() - off)));
   }
   expect_equivalent(by_value, by_pointer, trace, "pointer-gather");
-}
-
-// Prefetch distance is a pure performance knob: any value (including 0 =
-// disabled) must leave results bit-identical.
-TEST(BatchEquivalence, PrefetchDistanceIsSemanticallyInvisible) {
-  const auto trace = zipf_trace(88);
-  const auto scalar = run_scalar(trace);
-  for (const unsigned distance : {0u, 1u, 4u, 16u, 63u}) {
-    auto config = test_config();
-    config.prefetch_distance = distance;
-    InstaMeasure engine{config};
-    engine.process_batch(trace.packets);
-    expect_equivalent(scalar, engine, trace,
-                      "prefetch-distance=" + std::to_string(distance));
-  }
 }
 
 }  // namespace

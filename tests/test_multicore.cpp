@@ -140,41 +140,43 @@ TEST(MultiCore, PacedReplayApproximatesTargetRate) {
 // Determinism contract: dispatch is a pure function of the flow key and
 // each worker drains its SPSC queue in FIFO order, so the per-shard WSAF
 // state must be bit-identical across runs regardless of thread scheduling
-// or how the queue happened to partition packets into bursts — and the
-// batched hot path must match the scalar fallback exactly. Run repeatedly
-// (and under TSan/ASan in CI) so a scheduling-dependent divergence or a
-// race in the burst pipeline cannot hide behind a lucky interleaving.
+// or how the queue happened to partition packets into bursts — and equal
+// to a serial reference: an engine built from the worker's own config and
+// fed that worker's packets through process() in trace order. Run
+// repeatedly (and under TSan/ASan in CI) so a scheduling-dependent
+// divergence or a race in the burst pipeline cannot hide behind a lucky
+// interleaving.
 TEST(MultiCore, DeterministicPerShardWsafAcrossRunsAndPaths) {
   const auto trace = test_trace();
   constexpr unsigned kWorkers = 4;
-  const auto shard_snapshots = [&](bool batched, int run) {
-    auto config = small_config(kWorkers);
-    config.batched = batched;
-    MultiCoreEngine engine{config};
-    (void)engine.run(trace);
-    std::vector<std::string> shards;
-    for (unsigned w = 0; w < kWorkers; ++w) {
-      const auto path = testing::TempDir() + "mc-det-" +
-                        std::to_string(batched) + "-" + std::to_string(run) +
-                        "-" + std::to_string(w) + ".bin";
-      engine.engine(w).wsaf().save(path);
-      std::ifstream in{path, std::ios::binary};
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      shards.push_back(buf.str());
-    }
-    return shards;
+  const auto saved_wsaf = [](const core::InstaMeasure& engine,
+                             const std::string& name) {
+    const auto path = testing::TempDir() + "mc-det-" + name + ".bin";
+    engine.wsaf().save(path);
+    std::ifstream in{path, std::ios::binary};
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
   };
-  const auto baseline = shard_snapshots(true, 0);
-  for (int run = 1; run < 3; ++run) {
-    const auto again = shard_snapshots(true, run);
+  std::vector<std::string> baseline;
+  for (int run = 0; run < 3; ++run) {
+    MultiCoreEngine engine{small_config(kWorkers)};
+    (void)engine.run(trace);
     for (unsigned w = 0; w < kWorkers; ++w) {
-      EXPECT_EQ(baseline[w], again[w]) << "run " << run << " shard " << w;
+      const auto shard = saved_wsaf(
+          engine.engine(w), std::to_string(run) + "-" + std::to_string(w));
+      if (run > 0) {
+        EXPECT_EQ(baseline[w], shard) << "run " << run << " shard " << w;
+        continue;
+      }
+      core::InstaMeasure serial{engine.engine(w).config()};
+      for (const auto& rec : trace.packets) {
+        if (engine.worker_of(rec.key) == w) serial.process(rec);
+      }
+      EXPECT_EQ(saved_wsaf(serial, "serial-" + std::to_string(w)), shard)
+          << "serial-reference shard " << w;
+      baseline.push_back(shard);
     }
-  }
-  const auto scalar = shard_snapshots(false, 0);
-  for (unsigned w = 0; w < kWorkers; ++w) {
-    EXPECT_EQ(baseline[w], scalar[w]) << "scalar-path shard " << w;
   }
 }
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/flow_regulator.h"
-#include "core/multilayer_regulator.h"
 #include "util/rng.h"
 
 namespace instameasure::sketch {
@@ -84,16 +83,16 @@ TEST(RccConfig, RejectsNoiseMaxAtVectorBits) {
 }
 
 TEST(RccConfig, RegulatorsRejectInvalidConfigs) {
-  // Both regulators build their layers as RccSketches, so both throw
-  // before they size any bank from a bad config (noise_min > noise_max
-  // would underflow FlowRegulatorConfig::banks()).
+  // The regulator builds its layers as RccSketches, so it throws before it
+  // sizes any bank from a bad config (noise_min > noise_max would underflow
+  // FlowRegulatorConfig::banks()).
   core::FlowRegulatorConfig fr;
   fr.noise_min = 4;
   fr.noise_max = 3;
   EXPECT_THROW(core::FlowRegulator{fr}, std::invalid_argument);
-  core::MultiLayerConfig ml;
-  ml.vv_bits = 65;
-  EXPECT_THROW(core::MultiLayerRegulator{ml}, std::invalid_argument);
+  core::FlowRegulatorConfig wide;
+  wide.vv_bits = 65;
+  EXPECT_THROW(core::FlowRegulator{wide}, std::invalid_argument);
 }
 
 TEST(RccConfig, AcceptsTheBoundaryConfigs) {

@@ -388,8 +388,9 @@ TEST(Integration, EngineMirrorsMatchAuthoritativeCounts) {
   EXPECT_GE(process->histogram->count, kPackets / 256 / 2);
   EXPECT_EQ(engine.regulator().packets(), static_cast<std::uint64_t>(kPackets));
 
-  // reset() restarts the accessors (EpochEngine's interval mode reads
-  // per-epoch counts) while the exported series stay monotone.
+  // reset() restarts the accessors (a caller that resets between
+  // intervals reads per-interval counts) while the exported series stay
+  // monotone.
   const char* const kSeries[] = {"im_regulator_packets_total",
                                  "im_regulator_l1_saturations_total",
                                  "im_regulator_l2_saturations_total"};
