@@ -9,7 +9,6 @@
 #include "bench_common.h"
 
 #include "analysis/latency.h"
-#include "delegation/reliable.h"
 
 using namespace instameasure;
 
@@ -80,65 +79,6 @@ int main(int argc, char** argv) {
   bench::shape_check(delegation_min > 10.0,
                      "delegation-based decoding pays >=10 ms (epoch + "
                      "network delay) regardless of rate");
-
-  // ---- lossy vs reliable delegation over a 20% lossy channel ----
-  // The paper's case against remote collectors assumes delivery; real
-  // channels drop sketches. Sequencing alone (max_retransmits = 0) only
-  // *counts* the lost epochs; ack/retransmit (reliable.h) repairs every
-  // gap at the price of retransmissions and recovery latency.
-  std::printf("\nlossy vs reliable delegation (100 kpps attacker, 20%% loss "
-              "on data and ack channels):\n");
-  {
-    trace::TraceConfig background;
-    background.duration_s = 2.0;
-    background.mice = {20'000, 1.0, 20};
-    background.seed = seed;
-    auto trace = trace::generate(background);
-    trace::AttackSpec spec;
-    spec.rate_pps = 100'000;
-    spec.start_s = 0.2;
-    spec.duration_s = 1.5;
-    spec.seed = seed + 7;
-    const auto key = inject_attack(trace, spec);
-
-    delegation::PipelineConfig pc;
-    pc.epoch_ms = config.epoch_ms;
-    pc.packet_threshold = config.packet_threshold;
-    pc.channel.delay_ms = config.network_delay_ms;
-    pc.channel.loss_rate = 0.2;
-    pc.reliable.ack_channel.loss_rate = 0.2;
-
-    analysis::Table loss_table{{"transport", "epochs", "recovered", "gaps",
-                                "retransmits", "detect (ms)"}};
-    const auto run_transport = [&](const char* name, unsigned budget) {
-      auto run_config = pc;
-      run_config.reliable.max_retransmits = budget;
-      const auto run =
-          delegation::run_reliable_pipeline(trace.packets, run_config, {key});
-      const auto it = run.detections.find(key);
-      loss_table.add_row(
-          {name, analysis::cell("%llu", (unsigned long long)run.epochs),
-           analysis::cell("%llu", (unsigned long long)run.epochs_recovered),
-           analysis::cell("%llu", (unsigned long long)run.gaps),
-           analysis::cell("%llu", (unsigned long long)run.retransmits),
-           it == run.detections.end()
-               ? "not detected"
-               : analysis::cell("%.1f",
-                                static_cast<double>(it->second) / 1e6)});
-      return run;
-    };
-    const auto lossy = run_transport("sequenced lossy", 0);
-    const auto reliable = run_transport("ack/retransmit", 16);
-    loss_table.print();
-
-    bench::shape_check(lossy.gaps > 0,
-                       "20% channel loss leaves permanent epoch gaps without "
-                       "retransmission");
-    bench::shape_check(reliable.gaps == 0,
-                       "ack/retransmit recovers every epoch at 20% loss");
-    bench::shape_check(reliable.retransmits > 0,
-                       "recovery is paid for with retransmissions");
-  }
 
   bench::print_metrics_json(registry);
   return 0;

@@ -35,7 +35,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FILTER=${1:-"Counter|Gauge|HistogramMetric|Export|Reporter|Integration|SpscQueue|MultiCore|FlightRecorder|FaultPoint|OverloadChaos|OverloadPaced|Watchdog|ReliableLink|ReliablePipeline|SnapshotChannel|QueryEngine|QueryPlane|AuditSampling|AuditDifferential|AuditConcurrency|AuditSummaryMerge|WsafBucket|WsafLayout|WsafSnapshot|WsafBucketed|SharedWsaf|SharedTableChaos|FlowRegulator|RccConfig|BatchEquivalence|VvLayout|RccSketch|RccVectorSizeTest"}
+FILTER=${1:-"Counter|Gauge|HistogramMetric|Export|Reporter|Integration|SpscQueue|MultiCore|FlightRecorder|FaultPoint|OverloadChaos|OverloadPaced|Watchdog|SnapshotChannel|QueryEngine|QueryPlane|AuditSampling|AuditDifferential|AuditConcurrency|AuditSummaryMerge|WsafBucket|WsafLayout|WsafSnapshot|WsafBucketed|SharedWsaf|SharedTableChaos|FlowRegulator|RccConfig|BatchEquivalence|VvLayout|RccSketch|RccVectorSizeTest"}
 TSAN_FILTER=${TSAN_FILTER:-"MultiCore|SpscQueue|OverloadChaos|OverloadPaced|Watchdog|QueryPlane|AuditConcurrency|SharedWsafConcurrency|SharedTableChaos"}
 
 run_phase() {

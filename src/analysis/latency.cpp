@@ -7,6 +7,13 @@
 
 namespace instameasure::analysis {
 
+namespace {
+
+/// The delegation baseline's Count-Min geometry (16k counters x 4 rows).
+constexpr sketch::CountMinConfig kDelegationSketch{};
+
+}  // namespace
+
 std::vector<FlowLatency> measure_detection_latency(
     const trace::Trace& trace, const std::vector<netio::FlowKey>& watched,
     const LatencyConfig& config) {
@@ -21,7 +28,7 @@ std::vector<FlowLatency> measure_detection_latency(
   delegation::PipelineConfig pipeline_config;
   pipeline_config.epoch_ms = config.epoch_ms;
   pipeline_config.channel.delay_ms = config.network_delay_ms;
-  pipeline_config.sketch = config.delegation_sketch;
+  pipeline_config.sketch = kDelegationSketch;
   pipeline_config.packet_threshold = config.packet_threshold;
   // Both halves of the harness run on the caller's thread, so the engine's
   // trace track is single-writer-safe for the delegation events too.

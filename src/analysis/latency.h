@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/instameasure.h"
-#include "sketch/countmin.h"
 #include "trace/trace.h"
 
 namespace instameasure::analysis {
@@ -24,7 +23,6 @@ struct LatencyConfig {
   double packet_threshold = 500;     ///< HH threshold in packets
   double epoch_ms = 10.0;            ///< delegation flush period
   double network_delay_ms = 20.0;    ///< collector round trip
-  sketch::CountMinConfig delegation_sketch{};
   core::EngineConfig engine{};
 };
 

@@ -35,6 +35,12 @@ AuditSummary merge(const AuditSummary& a, const AuditSummary& b) {
 
 namespace {
 
+/// Compare estimates on every 2^kCompareShift-th *sampled* packet. The
+/// streaming gauges converge long before end-of-run; final_sweep() makes
+/// them exact.
+constexpr unsigned kCompareShift = 5;
+constexpr std::uint64_t kCompareMask = (std::uint64_t{1} << kCompareShift) - 1;
+
 /// Relative-error magnitudes land in a log-scale histogram as parts per
 /// million, so 0.1% and 300% both resolve to distinct buckets.
 [[nodiscard]] std::uint64_t to_ppm(double rel_err) noexcept {
@@ -57,9 +63,6 @@ Auditor::Auditor(const AuditConfig& config)
                      ? ~std::uint64_t{0}
                      : ~std::uint64_t{0}
                            << (64 - config_.sample_shift);
-  compare_mask_ = config_.compare_shift >= 64
-                      ? ~std::uint64_t{0}
-                      : (std::uint64_t{1} << config_.compare_shift) - 1;
   if (config_.registry != nullptr) {
     auto& reg = *config_.registry;
     const auto& ls = config_.labels;
@@ -157,7 +160,7 @@ FlowAudit* Auditor::observe_sampled(std::uint64_t sample_hash,
     refresh_gauges();
   }
 
-  return (seq & compare_mask_) == 0 ? &flow : nullptr;
+  return (seq & kCompareMask) == 0 ? &flow : nullptr;
 }
 
 void Auditor::record_comparison(const FlowAudit& flow, const Estimate& est,
@@ -181,21 +184,21 @@ void Auditor::classify(const FlowAudit& flow, const Estimate& est,
   // pressure level at comparison time rides in bits 8+ so the flight
   // recorder can correlate error bursts with overload.
   std::uint32_t aux_cause = 0;
-  if (rel_err < -config_.error_tolerance) {
+  if (rel_err < -kErrorTolerance) {
     const Cause cause = cause_of(flow, est);
     add_relaxed(undercount_);
     add_relaxed(causes_[static_cast<unsigned>(cause)]);
     tel_undercount_.inc();
     tel_causes_[static_cast<unsigned>(cause)].inc();
     aux_cause = static_cast<std::uint32_t>(cause) + 1;
-  } else if (rel_err > config_.error_tolerance) {
+  } else if (rel_err > kErrorTolerance) {
     add_relaxed(overcount_);
     tel_overcount_.inc();
     aux_cause = kCauseCount + 1;  // overcount marker, past the cause codes
   }
   if (trace_) {
     trace_->emit(trace_track_, telemetry::TraceEventKind::kAudit,
-                 flow.key.hash(config_.sample_seed), rel_err,
+                 flow.key.hash(kSampleSeed), rel_err,
                  aux_cause |
                      (static_cast<std::uint32_t>(pressure_level) << 8));
   }
@@ -209,7 +212,7 @@ Cause Auditor::cause_of(const FlowAudit& flow, const Estimate& est) const {
 }
 
 void Auditor::on_accumulate(const netio::FlowKey& key) {
-  const std::uint64_t h = key.hash(config_.sample_seed);
+  const std::uint64_t h = key.hash(kSampleSeed);
   if ((h & sample_mask_) != 0) return;
   if (auto it = flows_.find(h); it != flows_.end()) {
     it->second.wsaf_seen = true;
@@ -218,7 +221,7 @@ void Auditor::on_accumulate(const netio::FlowKey& key) {
 
 void Auditor::on_detection(const netio::FlowKey& key, bool by_bytes,
                            std::uint64_t now_ns) {
-  const std::uint64_t h = key.hash(config_.sample_seed);
+  const std::uint64_t h = key.hash(kSampleSeed);
   if ((h & sample_mask_) != 0) return;
   auto it = flows_.find(h);
   if (it == flows_.end()) return;
@@ -240,7 +243,7 @@ void Auditor::on_detection(const netio::FlowKey& key, bool by_bytes,
 
 void Auditor::note_shed(const netio::FlowKey& key, std::uint64_t weight) {
   if (weight <= 1) return;
-  const std::uint64_t h = key.hash(config_.sample_seed);
+  const std::uint64_t h = key.hash(kSampleSeed);
   if ((h & sample_mask_) != 0) return;
   if (auto it = flows_.find(h); it != flows_.end()) {
     it->second.shed_touched = true;
@@ -270,17 +273,17 @@ void Auditor::final_sweep(
     sum_signed += rel_err;
     ++n;
     tel_rel_error_ppm_.record(to_ppm(rel_err));
-    if (rel_err < -config_.error_tolerance) {
+    if (rel_err < -kErrorTolerance) {
       ++under;
       ++causes[static_cast<unsigned>(cause_of(flow, est))];
-    } else if (rel_err > config_.error_tolerance) {
+    } else if (rel_err > kErrorTolerance) {
       ++over;
     }
     if (trace_) {
       std::uint32_t aux_cause = 0;
-      if (rel_err < -config_.error_tolerance) {
+      if (rel_err < -kErrorTolerance) {
         aux_cause = static_cast<std::uint32_t>(cause_of(flow, est)) + 1;
-      } else if (rel_err > config_.error_tolerance) {
+      } else if (rel_err > kErrorTolerance) {
         aux_cause = kCauseCount + 1;
       }
       trace_->emit(trace_track_, telemetry::TraceEventKind::kAudit, hash,

@@ -20,7 +20,7 @@
 // Sampling is on a FIXED seed, independent of the engine's flow hash:
 // MultiCoreEngine decorrelates per-worker engine seeds, so sampling on the
 // engine hash would select a different slice per shard. A dedicated
-// sample_seed keeps the audited slice identical across shards (and across
+// kSampleSeed keeps the audited slice identical across shards (and across
 // scalar/batch/multicore differential runs). Hash-sampling the *ring* (not
 // the packets) keeps the slice unbiased under Zipf skew: every flow is
 // either fully audited or untouched.
@@ -28,10 +28,10 @@
 // Hot-path contract: with an auditor attached, every packet pays one extra
 // key hash + mask test (the sampled() reject, a few ns); only the sampled
 // 1/2^sample_shift slice touches the shadow map, and only every
-// 2^compare_shift-th sampled packet triggers an estimate read-back +
-// comparison (~1/8192 of packets at the defaults). The CI gate
-// scripts/check_audit_overhead.sh holds the total under 3% of batched
-// throughput. Aggregates visible to summary() are relaxed atomics
+// 2^kCompareShift-th sampled packet (auditor.cpp) triggers an estimate
+// read-back + comparison (~1/8192 of packets at the default
+// sample_shift). The CI gate scripts/check_audit_overhead.sh holds the
+// total under 3% of batched throughput. Aggregates visible to summary() are relaxed atomics
 // (single-writer, like telemetry cells), so QueryEngine::audit() may snapshot
 // them from any thread while ingest runs.
 //
@@ -82,34 +82,32 @@ inline constexpr unsigned kCauseCount =
   return "?";
 }
 
+/// Seed of the sampling hash. One constant for every shard (MultiCoreEngine
+/// decorrelates engine seeds, never this one), so every worker audits the
+/// same slice of flow space.
+inline constexpr std::uint64_t kSampleSeed = 0xa0d17'5eedULL;
+
+/// |relative error| beyond which a comparison counts as an undercount /
+/// overcount and gets attributed a cause.
+inline constexpr double kErrorTolerance = 0.05;
+
 struct AuditConfig {
   /// Sample 1/2^shift of the hash ring (default 1/256). 0 audits every
   /// flow (differential tests); >= 64 disables sampling entirely.
   unsigned sample_shift = 8;
-  /// Compare estimates on every 2^shift-th *sampled* packet. The streaming
-  /// gauges converge long before end-of-run; final_sweep() makes them
-  /// exact. 0 compares on every sampled packet.
-  unsigned compare_shift = 5;
   /// Ground-truth heavy-hitter thresholds — normally mirrored from the
   /// engine's HeavyHitterConfig by the engine itself. 0 disables that
   /// detector's recall accounting.
   double packet_threshold = 0;
   double byte_threshold = 0;
-  /// |relative error| beyond which a comparison counts as an undercount /
-  /// overcount and gets attributed a cause.
-  double error_tolerance = 0.05;
-  /// Seed of the sampling hash. MUST be identical across shards (the
-  /// engine propagates it untouched; MultiCoreEngine does NOT decorrelate
-  /// it) so every worker audits the same slice of flow space.
-  std::uint64_t sample_seed = 0xa0d17'5eedULL;
   telemetry::Registry* registry = nullptr;
   telemetry::Labels labels{};
   telemetry::TraceRecorder* trace = nullptr;
   unsigned trace_track = 0;
 };
 
-/// Engine estimate handed to record_comparison() — the same numbers
-/// InstaMeasure::query() would return for the flow right now.
+/// Engine estimate handed to record_comparison(): the type
+/// InstaMeasure::query() returns (InstaMeasure::FlowEstimate).
 struct Estimate {
   double packets = 0;
   double bytes = 0;
@@ -169,7 +167,7 @@ class Auditor {
   /// the engine estimate and calls record_comparison).
   FlowAudit* observe(const netio::FlowKey& key, std::uint32_t wire_len,
                      std::uint64_t now_ns) {
-    const std::uint64_t h = key.hash(config_.sample_seed);
+    const std::uint64_t h = key.hash(kSampleSeed);
     if ((h & sample_mask_) != 0) return nullptr;
     return observe_sampled(h, key, wire_len, now_ns);
   }
@@ -206,7 +204,7 @@ class Auditor {
   [[nodiscard]] AuditSummary summary() const;
 
   [[nodiscard]] bool sampled(const netio::FlowKey& key) const {
-    return (key.hash(config_.sample_seed) & sample_mask_) == 0;
+    return (key.hash(kSampleSeed) & sample_mask_) == 0;
   }
   [[nodiscard]] const AuditConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t shadow_flows() const noexcept {
@@ -244,8 +242,7 @@ class Auditor {
   }
 
   AuditConfig config_;
-  std::uint64_t sample_mask_ = 0;   ///< high bits; 0 samples everything
-  std::uint64_t compare_mask_ = 0;  ///< low bits of the sampled-packet seq
+  std::uint64_t sample_mask_ = 0;  ///< high bits; 0 samples everything
   std::unordered_map<std::uint64_t, FlowAudit> flows_;  ///< by sample hash
 
   // Aggregates: single-writer relaxed atomics, readable from any thread.

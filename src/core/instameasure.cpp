@@ -101,7 +101,6 @@ InstaMeasure::InstaMeasure(const EngineConfig& config)
       trace_(config_.trace),
       trace_track_(config_.trace_track),
       perf_(config_.perf) {
-  if (config.track_top_k > 0) tracker_.emplace(config.track_top_k);
   if (config_.enable_audit) {
     audit_ = std::make_unique<audit::Auditor>(config_.audit);
   }
@@ -173,7 +172,7 @@ void InstaMeasure::process(const netio::PacketRecord& rec) {
     if (auto* flow =
             audit_->observe(rec.key, rec.wire_len, rec.timestamp_ns)) {
       audit_->record_comparison(
-          *flow, audit_estimate(rec.key, flow_hash),
+          *flow, estimate(rec.key, flow_hash),
           static_cast<int>(pressure().level), rec.timestamp_ns);
     }
   }
@@ -197,10 +196,6 @@ void InstaMeasure::drain_event(const netio::PacketRecord& rec,
     // The ratio moves only when an insertion happens, so updating it on
     // the (rare, ~1%) event path keeps the gauge live for free.
     tel_ips_pps_ratio_.set(regulator_.regulation_rate());
-  }
-  if (tracker_) {
-    tracker_->update(rec.key, flow_hash, totals.packets, totals.bytes,
-                     totals.first_seen_ns, rec.timestamp_ns);
   }
   if (config_.heavy_hitter.packet_threshold > 0 ||
       config_.heavy_hitter.byte_threshold > 0) {
@@ -309,7 +304,7 @@ void InstaMeasure::process_chunk(const netio::PacketRecord* recs,
   }
 
   // Stage 3: drain the (few) events into the WSAF in packet order — the
-  // same accumulate/tracker/detection sequence the scalar path runs, so
+  // same accumulate/detection sequence the scalar path runs, so
   // totals, detection order, and telemetry counts are identical.
   for (std::size_t p = 0; p < n_pending; ++p) {
     const auto i = pending[p].index;
@@ -333,7 +328,7 @@ void InstaMeasure::process_chunk(const netio::PacketRecord* recs,
       if (auto* flow = audit_->observe(recs[i].key, recs[i].wire_len,
                                        recs[i].timestamp_ns)) {
         audit_->record_comparison(
-            *flow, audit_estimate(recs[i].key, hashes[i]),
+            *flow, estimate(recs[i].key, hashes[i]),
             static_cast<int>(pressure().level), recs[i].timestamp_ns);
       }
     }
@@ -397,10 +392,9 @@ void InstaMeasure::check_heavy_hitter(const netio::FlowKey& key,
   }
 }
 
-audit::Estimate InstaMeasure::audit_estimate(const netio::FlowKey& key,
-                                             std::uint64_t flow_hash) const {
-  // query() restated so the auditor sees exactly what a caller would.
-  audit::Estimate est;
+InstaMeasure::FlowEstimate InstaMeasure::estimate(
+    const netio::FlowKey& key, std::uint64_t flow_hash) const {
+  FlowEstimate est;
   if (const auto entry = wsaf_lookup(key, flow_hash)) {
     est.packets = entry->packets;
     est.bytes = entry->bytes;
@@ -415,23 +409,9 @@ void InstaMeasure::audit_final_sweep() {
   if (!audit_) return;
   audit_->final_sweep(
       [this](const netio::FlowKey& key) {
-        return audit_estimate(key, key.hash(config_.seed));
+        return query(key);
       },
       wsaf_latest_ns());
-}
-
-InstaMeasure::FlowEstimate InstaMeasure::query(
-    const netio::FlowKey& key) const {
-  const std::uint64_t flow_hash = key.hash(config_.seed);
-  FlowEstimate est;
-  if (const auto entry = wsaf_lookup(key, flow_hash)) {
-    est.packets = entry->packets;
-    est.bytes = entry->bytes;
-    est.in_wsaf = true;
-  }
-  est.packets += regulator_.residual_packets(flow_hash);
-  est.bytes += regulator_.residual_bytes(flow_hash);
-  return est;
 }
 
 void InstaMeasure::clear_detections() {
@@ -444,7 +424,6 @@ void InstaMeasure::clear_detections() {
 void InstaMeasure::reset() {
   regulator_.reset();
   wsaf_.reset();
-  if (tracker_) tracker_->reset();
   if (audit_) audit_->reset();
   clear_detections();
 }

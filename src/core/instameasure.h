@@ -14,12 +14,10 @@
 #include <optional>
 #include <span>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "audit/auditor.h"
 #include "core/flow_regulator.h"
-#include "core/topk_tracker.h"
 #include "core/topk.h"
 #include "core/view_publisher.h"
 #include "core/wsaf_shared.h"
@@ -47,10 +45,6 @@ struct EngineConfig {
   FlowRegulatorConfig regulator;
   WsafConfig wsaf;
   HeavyHitterConfig heavy_hitter;
-  /// When nonzero, a streaming top-K tracker (by packets) is maintained on
-  /// the accumulate path: current_top_k() answers in O(K) with no WSAF
-  /// scan. 0 disables (top_k_packets() still works via scan).
-  std::size_t track_top_k = 0;
   /// Seed of the single per-packet flow hash. Propagates into wsaf.seed
   /// (overriding it) so view flow_hashes and snapshot headers describe the
   /// hash domain the table is actually indexed by.
@@ -128,15 +122,15 @@ class InstaMeasure {
   /// (MultiCoreEngine workers). Identical semantics.
   void process_batch(std::span<const netio::PacketRecord* const> batch);
 
-  struct FlowEstimate {
-    double packets = 0;
-    double bytes = 0;
-    bool in_wsaf = false;  ///< true if an elephant record exists
-  };
+  /// packets/bytes plus in_wsaf (an elephant record exists); the auditor
+  /// compares exactly this type.
+  using FlowEstimate = audit::Estimate;
 
   /// Current estimate for one flow: WSAF record (if any) plus the
   /// regulator's residual.
-  [[nodiscard]] FlowEstimate query(const netio::FlowKey& key) const;
+  [[nodiscard]] FlowEstimate query(const netio::FlowKey& key) const {
+    return estimate(key, key.hash(config_.seed));
+  }
 
   /// In shared-table mode these answer over the WHOLE shared table (every
   /// engine sharing it returns the same, global, result).
@@ -151,14 +145,6 @@ class InstaMeasure {
 
   [[nodiscard]] const std::vector<HhDetection>& detections() const noexcept {
     return detections_;
-  }
-
-  /// The streaming tracker's current top-K (requires track_top_k > 0);
-  /// empty otherwise. Descending by packets.
-  [[nodiscard]] std::vector<std::pair<netio::FlowKey, double>> current_top_k()
-      const {
-    return tracker_ ? tracker_->top()
-                    : std::vector<std::pair<netio::FlowKey, double>>{};
   }
 
   [[nodiscard]] const FlowRegulator& regulator() const noexcept {
@@ -242,9 +228,9 @@ class InstaMeasure {
   /// three-stage batch pipeline.
   void process_chunk(const netio::PacketRecord* recs, std::size_t n);
 
-  /// One saturation event into the WSAF, tracker and detectors — the
-  /// sequence process() and process_chunk()'s drain stage share. `timed`
-  /// says whether the packet that raised it is a timing sample.
+  /// One saturation event into the WSAF and detectors — the sequence
+  /// process() and process_chunk()'s drain stage share. `timed` says
+  /// whether the packet that raised it is a timing sample.
   void drain_event(const netio::PacketRecord& rec, std::uint64_t flow_hash,
                    const SaturationEvent& event, bool timed);
 
@@ -257,9 +243,9 @@ class InstaMeasure {
                           double packets, double bytes,
                           std::uint64_t first_seen_ns, std::uint64_t now_ns);
 
-  /// Estimate read-back for the auditor: query() restated in audit types.
-  [[nodiscard]] audit::Estimate audit_estimate(const netio::FlowKey& key,
-                                               std::uint64_t flow_hash) const;
+  /// The body of query(), for callers that already hold the flow hash.
+  [[nodiscard]] FlowEstimate estimate(const netio::FlowKey& key,
+                                      std::uint64_t flow_hash) const;
 
   // Shared-vs-private routing for the few WSAF touch points. One null test
   // per (rare) accumulate/lookup; the packet fast path never branches.
@@ -288,7 +274,6 @@ class InstaMeasure {
   std::unique_ptr<audit::Auditor> audit_;  ///< null unless enable_audit
   std::vector<HhDetection> detections_;
   std::unique_ptr<ViewPublisher> publisher_;  ///< null unless publish_views
-  std::optional<TopKTracker> tracker_;
   std::unordered_set<std::uint64_t> reported_pkt_;
   std::unordered_set<std::uint64_t> reported_byte_;
   std::uint64_t pkt_seq_ = 0;          ///< local sequence for sampling

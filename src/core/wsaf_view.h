@@ -5,10 +5,10 @@
 // makes that read/write decoupling concrete: the data plane periodically
 // copies its live entries (flow key, packets, bytes, first/last seen) into
 // a view and publishes it through a SnapshotChannel (snapshot_channel.h);
-// every read-side consumer — QueryEngine, TopKTracker exports,
-// dashboards — operates on views and never touches the mutable
-// table. Related designs make the same split: FlowRadar decouples encode
-// from periodic decode, Elastic Sketch reads its heavy part out-of-band.
+// every read-side consumer — QueryEngine, dashboards — operates on views
+// and never touches the mutable table. Related designs make the same
+// split: FlowRadar decouples encode from periodic decode, Elastic Sketch
+// reads its heavy part out-of-band.
 //
 // A view is consistent by construction (it was built by the single writer
 // between packets) and carries enough metadata to bound its staleness:

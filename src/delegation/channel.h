@@ -4,11 +4,7 @@
 // a remote collector; its detection latency is epoch + network delay. This
 // channel models that hop: messages are delivered at
 // send_time + delay (+ deterministic jitter), in delivery-time order, and
-// can be configured to drop, duplicate, or reorder (extra-delay) messages
-// — the loss/duplication/reordering pathologies the reliable-delegation
-// layer (reliable.h) must survive. The same behaviors can be provoked from
-// chaos tests through the fault points delegation.channel.{drop,duplicate,
-// reorder} without touching the config.
+// a configured fraction of them is lost.
 #pragma once
 
 #include <algorithm>
@@ -17,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "resilience/faultpoint.h"
 #include "util/rng.h"
 
 namespace instameasure::delegation {
@@ -26,10 +21,6 @@ struct ChannelConfig {
   double delay_ms = 20.0;
   double jitter_ms = 0.0;        ///< uniform in [0, jitter_ms)
   double loss_rate = 0.0;        ///< fraction of messages dropped
-  double duplicate_rate = 0.0;   ///< fraction delivered twice
-  double duplicate_lag_ms = 5.0; ///< the copy arrives this much later
-  double reorder_rate = 0.0;     ///< fraction given extra delay (reordered)
-  double reorder_ms = 10.0;      ///< the extra delay for reordered messages
   std::uint64_t seed = 0xc4a7;
 };
 
@@ -38,20 +29,13 @@ template <typename T>
 class SimulatedChannel {
  public:
   explicit SimulatedChannel(const ChannelConfig& config)
-      : config_(config),
-        rng_(config.seed),
-        fault_drop_(resilience::faultpoint("delegation.channel.drop")),
-        fault_duplicate_(
-            resilience::faultpoint("delegation.channel.duplicate")),
-        fault_reorder_(resilience::faultpoint("delegation.channel.reorder")) {}
+      : config_(config), rng_(config.seed) {}
 
   /// Send a payload at `send_ns`. Returns the delivery time (or nullopt if
   /// the message was lost).
   std::optional<std::uint64_t> send(std::uint64_t send_ns, T payload) {
     ++sent_;
-    if ((config_.loss_rate > 0 &&
-         rng_.next_double() < config_.loss_rate) ||
-        fault_drop_.fire()) {
+    if (config_.loss_rate > 0 && rng_.next_double() < config_.loss_rate) {
       ++lost_;
       return std::nullopt;
     }
@@ -59,28 +43,10 @@ class SimulatedChannel {
     if (config_.jitter_ms > 0) {
       extra_ms += rng_.next_double() * config_.jitter_ms;
     }
-    if (config_.reorder_rate > 0 &&
-        rng_.next_double() < config_.reorder_rate) {
-      extra_ms += config_.reorder_ms;
-      ++reordered_;
-    }
-    if (fault_reorder_.fire()) {
-      extra_ms += fault_reorder_.param();
-      ++reordered_;
-    }
     const auto deliver_ns =
         send_ns + static_cast<std::uint64_t>(extra_ms * 1e6);
-    const bool duplicate =
-        (config_.duplicate_rate > 0 &&
-         rng_.next_double() < config_.duplicate_rate) ||
-        fault_duplicate_.fire();
-    if (duplicate) {
-      ++duplicated_;
-      enqueue(deliver_ns + static_cast<std::uint64_t>(
-                               config_.duplicate_lag_ms * 1e6),
-              payload);
-    }
-    enqueue(deliver_ns, std::move(payload));
+    inflight_.push_back(Message{deliver_ns, seq_++, std::move(payload)});
+    std::push_heap(inflight_.begin(), inflight_.end(), Later{});
     return deliver_ns;
   }
 
@@ -104,15 +70,6 @@ class SimulatedChannel {
   }
   [[nodiscard]] std::uint64_t sent() const noexcept { return sent_; }
   [[nodiscard]] std::uint64_t lost() const noexcept { return lost_; }
-  [[nodiscard]] std::uint64_t duplicated() const noexcept {
-    return duplicated_;
-  }
-  [[nodiscard]] std::uint64_t reordered() const noexcept { return reordered_; }
-  /// Earliest pending delivery time (for event-driven draining).
-  [[nodiscard]] std::optional<std::uint64_t> next_delivery_ns() const {
-    if (inflight_.empty()) return std::nullopt;
-    return inflight_.front().deliver_ns;
-  }
 
  private:
   struct Message {
@@ -130,22 +87,12 @@ class SimulatedChannel {
     }
   };
 
-  void enqueue(std::uint64_t deliver_ns, T payload) {
-    inflight_.push_back(Message{deliver_ns, seq_++, std::move(payload)});
-    std::push_heap(inflight_.begin(), inflight_.end(), Later{});
-  }
-
   ChannelConfig config_;
   util::Xoshiro256ss rng_;
-  resilience::FaultPoint& fault_drop_;
-  resilience::FaultPoint& fault_duplicate_;
-  resilience::FaultPoint& fault_reorder_;
   std::vector<Message> inflight_;  // binary min-heap ordered by Later
   std::uint64_t seq_ = 0;
   std::uint64_t sent_ = 0;
   std::uint64_t lost_ = 0;
-  std::uint64_t duplicated_ = 0;
-  std::uint64_t reordered_ = 0;
 };
 
 }  // namespace instameasure::delegation

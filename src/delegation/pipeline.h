@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -24,25 +23,9 @@
 
 namespace instameasure::delegation {
 
-/// Reliable-delegation knobs (sequence numbers + ack/retransmit; see
-/// reliable.h). Used by run_reliable_pipeline; the plain pipeline ignores
-/// them.
-struct ReliableConfig {
-  double rto_ms = 50.0;        ///< initial retransmit timeout
-  double rto_backoff = 2.0;    ///< timeout multiplier per retransmit
-  double rto_max_ms = 1000.0;  ///< timeout ceiling
-  /// Retransmits per epoch before the exporter abandons it (a permanent,
-  /// sender-visible gap). 0 turns the link into the sequenced-but-lossy
-  /// baseline: gaps are detected and counted, never repaired.
-  unsigned max_retransmits = 16;
-  /// Reverse (ack) path. Acks can be lost too — retransmission covers it.
-  ChannelConfig ack_channel{};
-};
-
 struct PipelineConfig {
   double epoch_ms = 10.0;
   ChannelConfig channel{};
-  ReliableConfig reliable{};
   sketch::CountMinConfig sketch{};
   /// Flows the collector alarms on when their cumulative estimate crosses
   /// this threshold (packets). 0 disables alarms.
@@ -58,22 +41,13 @@ struct PipelineConfig {
 };
 
 /// Switch-side exporter: encodes packets into the current epoch's sketch
-/// and flushes it into a sink at each epoch boundary. The sink is normally
-/// the simulated channel; the reliable pipeline substitutes a sequencing
-/// link (reliable.h) without the exporter noticing.
+/// and sends it over the channel at each epoch boundary.
 class Exporter {
  public:
-  using Sink = std::function<void(std::uint64_t, sketch::CountMinSketch)>;
-
-  Exporter(const PipelineConfig& config, SimulatedChannel<sketch::CountMinSketch>* channel)
-      : Exporter(config, Sink{[channel](std::uint64_t now_ns,
-                                        sketch::CountMinSketch sketch) {
-          (void)channel->send(now_ns, std::move(sketch));
-        }}) {}
-
-  Exporter(const PipelineConfig& config, Sink sink)
+  Exporter(const PipelineConfig& config,
+           SimulatedChannel<sketch::CountMinSketch>* channel)
       : config_(config),
-        sink_(std::move(sink)),
+        channel_(channel),
         epoch_ns_(static_cast<std::uint64_t>(config.epoch_ms * 1e6)),
         current_(config.sketch) {
     if (config.registry != nullptr) {
@@ -106,7 +80,7 @@ class Exporter {
   /// Force-flush the current epoch (end of measurement).
   void flush(std::uint64_t now_ns) {
     tel_channel_bytes_.inc(current_.memory_bytes());
-    sink_(now_ns, current_);
+    (void)channel_->send(now_ns, current_);
     current_.reset();
     ++epochs_flushed_;
     tel_epochs_.inc();
@@ -124,7 +98,7 @@ class Exporter {
 
  private:
   PipelineConfig config_;
-  Sink sink_;
+  SimulatedChannel<sketch::CountMinSketch>* channel_;
   std::uint64_t epoch_ns_;
   sketch::CountMinSketch current_;
   bool started_ = false;
@@ -152,44 +126,37 @@ class Collector {
     }
   }
 
-  /// Ingest everything the channel delivered by `now_ns` and evaluate the
-  /// watch list. Detection timestamps are the *delivery* times.
+  /// Merge everything the channel delivered by `now_ns`, one sketch at a
+  /// time, and evaluate the watch list after each. Detection timestamps
+  /// are the *delivery* times.
   void poll(SimulatedChannel<sketch::CountMinSketch>& channel,
             std::uint64_t now_ns,
             const std::vector<netio::FlowKey>& watched) {
-    for (auto& [deliver_ns, sketch] : channel.deliver_until(now_ns)) {
-      ingest(deliver_ns, sketch, watched);
-    }
-  }
-
-  /// Merge one delivered sketch and evaluate the watch list. The reliable
-  /// pipeline feeds this directly (after dedup/sequencing); poll() is the
-  /// plain-channel wrapper.
-  void ingest(std::uint64_t deliver_ns, const sketch::CountMinSketch& sketch,
-              const std::vector<netio::FlowKey>& watched) {
-    const auto t0 = std::chrono::steady_clock::now();
-    merged_.merge(sketch);
-    ++sketches_received_;
-    tel_sketches_.inc();
-    if (config_.packet_threshold > 0) {
-      for (const auto& key : watched) {
-        if (detections_.contains(key)) continue;
-        if (static_cast<double>(merged_.query(key.hash())) >=
-            config_.packet_threshold) {
-          detections_.emplace(key, deliver_ns);
+    for (const auto& [deliver_ns, sketch] : channel.deliver_until(now_ns)) {
+      const auto t0 = std::chrono::steady_clock::now();
+      merged_.merge(sketch);
+      ++sketches_received_;
+      tel_sketches_.inc();
+      if (config_.packet_threshold > 0) {
+        for (const auto& key : watched) {
+          if (detections_.contains(key)) continue;
+          if (static_cast<double>(merged_.query(key.hash())) >=
+              config_.packet_threshold) {
+            detections_.emplace(key, deliver_ns);
+          }
         }
       }
-    }
-    const auto decode_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    tel_decode_ns_.record(decode_ns);
-    if (config_.trace != nullptr) {
-      config_.trace->emit(config_.trace_track,
-                          telemetry::TraceEventKind::kCollectorDecode, 0,
-                          static_cast<double>(decode_ns),
-                          static_cast<std::uint32_t>(sketches_received_));
+      const auto decode_ns = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count());
+      tel_decode_ns_.record(decode_ns);
+      if (config_.trace != nullptr) {
+        config_.trace->emit(config_.trace_track,
+                            telemetry::TraceEventKind::kCollectorDecode, 0,
+                            static_cast<double>(decode_ns),
+                            static_cast<std::uint32_t>(sketches_received_));
+      }
     }
   }
 

@@ -10,7 +10,6 @@
 #include "core/flow_regulator.h"
 #include "core/instameasure.h"
 #include "core/topk.h"
-#include "core/topk_tracker.h"
 #include "core/wsaf_export.h"
 #include "core/wsaf_table.h"
 

@@ -1,15 +1,15 @@
 // Deterministic fault-injection harness (overload-resilience tentpole).
 //
 // A FaultPoint is a named site in production code where a failure can be
-// provoked on demand: a queue that pretends to be full, a channel that
-// drops/duplicates/reorders a message, a read that comes back short, a
-// worker that stalls mid-burst. Chaos tests arm points by name with a
+// provoked on demand: a queue that pretends to be full
+// (runtime.queue_full), a worker that stalls mid-burst
+// (runtime.worker_stall). Chaos tests arm points by name with a
 // seeded FaultSpec; the same schedule replays identically because firing
 // is a pure function of (seed, evaluation index) — no wall clock, no
 // global RNG.
 //
 // Cost model: an unarmed point is one relaxed atomic load and a
-// predictable branch — cheap enough for queue/channel/I-O paths (fault
+// predictable branch — cheap enough for the dispatch and worker loops (fault
 // points are deliberately NOT placed on the per-packet sketch path).
 //
 // Usage in production code (site):
@@ -39,9 +39,8 @@ struct FaultSpec {
   double probability = 1.0;  ///< chance each evaluation fires
   std::uint64_t max_fires = ~std::uint64_t{0};  ///< stop after this many
   std::uint64_t skip_first = 0;  ///< let the first N evaluations pass
-  /// Magnitude the site interprets: stall duration in ns
-  /// (runtime.worker_stall), extra delay in ms (delegation.channel.reorder),
-  /// bytes to short-read (io.short_read), ...
+  /// Magnitude the site interprets: the stall duration in ns for
+  /// runtime.worker_stall.
   double param = 0.0;
   std::uint64_t seed = 0x5eed;
 };

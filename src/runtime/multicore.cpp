@@ -28,6 +28,13 @@ void spin_for_ns(double ns) {
   }
 }
 
+/// kShed: consecutive uncontended dispatches to a worker before its ladder
+/// steps back down one rung (pressure cleared).
+constexpr std::uint64_t kDecayAfterClean = 8192;
+/// kShed: a dispatch counts as uncontended when it pushed on the first try
+/// and the queue was below this fraction of capacity.
+constexpr double kCleanDepthFraction = 0.25;
+
 /// One worker's counters for one run, on a cache line of their own. The
 /// worker writes them; the watchdog reads `packets` (its heartbeat) and
 /// `pressure` live; RunStats reads them after the join.
@@ -109,7 +116,7 @@ MultiCoreEngine::MultiCoreEngine(const MultiCoreConfig& config)
     engine_config.trace = config.trace;
     engine_config.trace_track = w;
     engine_config.shared_wsaf = shared_.get();
-    if (config.enable_query_plane && !config.shared_table) {
+    if (!config.shared_table) {
       engine_config.publish_views = true;
       engine_config.publish = config.query_plane;
       engine_config.publish.shard = w;
@@ -186,45 +193,43 @@ MultiCoreEngine::MultiCoreEngine(const MultiCoreConfig& config)
       "im_io_wait_cycles_total",
       "Empty polls / pacing waits while pulling from the packet source");
 
-  if (config.enable_query_plane) {
-    std::vector<const core::SnapshotChannel*> channels;
-    if (config.shared_table) {
-      // Shared mode: worker engines carry no publisher; the manager ticks
-      // one publisher over the shared table and the query plane reads its
-      // single channel (shard 0 holds the whole working set).
-      core::ViewPublishConfig pc = config.query_plane;
-      pc.shard = 0;
-      pc.registry = registry_;
-      pc.labels = telemetry::Labels{{"worker", "manager"}};
-      if (config.trace != nullptr) {
-        pc.trace = config.trace;
-        pc.trace_track = n;  // manager's track; the manager does the ticks
-      }
-      shared_publisher_ = std::make_unique<core::ViewPublisher>(pc);
-      channels.push_back(&shared_publisher_->channel());
-    } else {
-      channels.reserve(n);
-      for (const auto& engine : engines_) {
-        channels.push_back(engine->view_channel());
-      }
+  std::vector<const core::SnapshotChannel*> channels;
+  if (config.shared_table) {
+    // Shared mode: worker engines carry no publisher; the manager ticks
+    // one publisher over the shared table and the query plane reads its
+    // single channel (shard 0 holds the whole working set).
+    core::ViewPublishConfig pc = config.query_plane;
+    pc.shard = 0;
+    pc.registry = registry_;
+    pc.labels = telemetry::Labels{{"worker", "manager"}};
+    if (config.trace != nullptr) {
+      pc.trace = config.trace;
+      pc.trace_track = n;  // manager's track; the manager does the ticks
     }
-    core::QueryEngineConfig qc;
-    qc.registry = registry_;
-    if (config.engine.enable_audit) {
-      qc.auditors.reserve(n);
-      for (const auto& engine : engines_) {
-        qc.auditors.push_back(engine->auditor());
-      }
+    shared_publisher_ = std::make_unique<core::ViewPublisher>(pc);
+    channels.push_back(&shared_publisher_->channel());
+  } else {
+    channels.reserve(n);
+    for (const auto& engine : engines_) {
+      channels.push_back(engine->view_channel());
     }
-    // Queries run on arbitrary reader threads; they may only trace when
-    // the recorder has a spare track beyond the workers' and manager's
-    // (the QueryEngine serializes its own emits internally).
-    if (config.trace != nullptr && config.trace->tracks() > n + 1) {
-      qc.trace = config.trace;
-      qc.trace_track = n + 1;
-    }
-    query_engine_ = std::make_unique<core::QueryEngine>(std::move(channels), qc);
   }
+  core::QueryEngineConfig qc;
+  qc.registry = registry_;
+  if (config.engine.enable_audit) {
+    qc.auditors.reserve(n);
+    for (const auto& engine : engines_) {
+      qc.auditors.push_back(engine->auditor());
+    }
+  }
+  // Queries run on arbitrary reader threads; they may only trace when
+  // the recorder has a spare track beyond the workers' and manager's
+  // (the QueryEngine serializes its own emits internally).
+  if (config.trace != nullptr && config.trace->tracks() > n + 1) {
+    qc.trace = config.trace;
+    qc.trace_track = n + 1;
+  }
+  query_engine_ = std::make_unique<core::QueryEngine>(std::move(channels), qc);
 }
 
 MultiCoreEngine::~MultiCoreEngine() = default;
@@ -285,7 +290,6 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
   // WSAF pressure level through `tally`; the watchdog (and nothing else)
   // may read them live — it must never touch the engines while workers run.
   std::vector<WorkerTally> tally(n);
-  std::atomic<unsigned> shed_floor{0};
   std::atomic<std::uint64_t> watchdog_reports{0};
   std::atomic<int> pressure_peak{0};
   std::atomic<bool> watchdog_stop{false};
@@ -387,8 +391,7 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
   // Watchdog: heartbeat the workers' progress. A worker that made zero
   // progress across `watchdog_stall_intervals` periods while its queue
   // holds work is reported stalled (once per episode). It also aggregates
-  // the published WSAF pressure levels and, when shed_on_wsaf_pressure is
-  // set, holds the shed ladder's floor at 1 while any shard is saturated.
+  // the published WSAF pressure levels into the runtime gauge and peak.
   std::thread watchdog;
   if (ov.watchdog_interval_ms > 0) {
     watchdog = std::thread([&] {
@@ -421,13 +424,6 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
         while (worst > peak &&
                !pressure_peak.compare_exchange_weak(
                    peak, worst, std::memory_order_relaxed)) {
-        }
-        if (ov.shed_on_wsaf_pressure) {
-          shed_floor.store(
-              worst >= static_cast<int>(core::WsafPressureLevel::kSaturated)
-                  ? 1u
-                  : 0u,
-              std::memory_order_relaxed);
         }
       }
     });
@@ -500,7 +496,7 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
   std::vector<std::uint64_t> clean_streak(n, 0);
   std::vector<std::uint64_t> shed_seq(n, 0);
   const auto clean_depth = static_cast<std::size_t>(
-      static_cast<double>(config_.queue_capacity) * ov.clean_depth_fraction);
+      static_cast<double>(config_.queue_capacity) * kCleanDepthFraction);
   // Mean backlog: every queue's depth, sampled once per source pull. A
   // pull per record or few while traffic keeps pace, one per 256 when the
   // manager catches up after a stall, so bursts of arrivals do not
@@ -537,13 +533,10 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
         return;
       }
       case OverloadPolicy::kShed: {
-        // Effective rung: the ladder's own level, lifted to the watchdog's
-        // floor while a shard's WSAF is saturated. Admission rate 1/2^lvl;
-        // each admitted packet carries weight 2^lvl so estimates stay
-        // unbiased.
-        const unsigned lvl = std::min(
-            {std::max(level[w], shed_floor.load(std::memory_order_relaxed)),
-             ov.max_shed_level, 31u});
+        // Admission rate 1/2^lvl; each admitted packet carries weight 2^lvl
+        // so estimates stay unbiased. The ladder never climbs past
+        // max_shed_level; 31 keeps the weight inside 32 bits.
+        const unsigned lvl = std::min(level[w], 31u);
         stats.shed_level_peak = std::max(stats.shed_level_peak, lvl);
         if (lvl > 0) {
           const std::uint64_t seq = shed_seq[w]++;
@@ -584,7 +577,7 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
             }
           }
         } else if (depth < clean_depth) {
-          if (++clean_streak[w] >= ov.decay_after_clean) {
+          if (++clean_streak[w] >= kDecayAfterClean) {
             clean_streak[w] = 0;
             if (level[w] > 0) {
               --level[w];

@@ -68,16 +68,9 @@ struct OverloadConfig {
   /// (halving the admission rate again).
   unsigned escalate_after_stalls = 64;
   /// kShed: ladder ceiling; admission rate floor is 1/2^max_shed_level.
+  /// A rung steps back down after kDecayAfterClean uncontended dispatches
+  /// (multicore.cpp).
   unsigned max_shed_level = 6;
-  /// kShed: consecutive uncontended dispatches to a worker before its
-  /// ladder steps back down one rung (pressure cleared).
-  std::uint64_t decay_after_clean = 8192;
-  /// kShed: a dispatch counts as uncontended when it pushed on the first
-  /// try and the queue was below this fraction of capacity.
-  double clean_depth_fraction = 0.25;
-  /// kShed: when the watchdog sees a worker's WSAF at saturated pressure,
-  /// hold that ladder at >= 1 (shed before accuracy silently collapses).
-  bool shed_on_wsaf_pressure = false;
   /// Watchdog heartbeat period; 0 disables the watchdog thread.
   double watchdog_interval_ms = 0.0;
   /// Heartbeat intervals a worker may make zero progress with a non-empty
@@ -91,18 +84,17 @@ struct MultiCoreConfig {
   std::size_t queue_capacity = 1 << 14;
   DispatchPolicy dispatch = DispatchPolicy::kPopcount;
   OverloadConfig overload{};
-  /// Live query plane: every worker publishes WsafViews of its shard at
-  /// the `query_plane` cadence (shard/registry/trace wiring is filled in
-  /// per worker) and queries() answers over them while run() is in flight.
+  /// Live query plane, always on: every worker publishes WsafViews of its
+  /// shard at this cadence (shard/registry/trace wiring is filled in per
+  /// worker) and queries() answers over them while run() is in flight.
   /// The default auto cadence keeps the cost under 2% of throughput
-  /// (scripts/check_query_overhead.sh guards this); set false to remove
-  /// the publish tick entirely.
-  bool enable_query_plane = true;
+  /// (scripts/check_query_overhead.sh guards this).
   core::ViewPublishConfig query_plane{};
   /// Per-worker engine template; memory is per worker (×N total). Setting
   /// engine.enable_audit turns on the live accuracy-audit plane in every
-  /// shard: the audit sample seed is NOT decorrelated (unlike the engine
-  /// seed below), so all workers audit the same slice of flow space, the
+  /// shard: the audit sample seed is one constant (audit::kSampleSeed),
+  /// unlike the engine seed below, so all workers audit the same slice of
+  /// flow space, the
   /// per-shard auditors are attached to queries()->audit(), and each
   /// worker runs its exactness sweep as it drains at end of run.
   core::EngineConfig engine{};
@@ -256,8 +248,7 @@ class MultiCoreEngine {
   /// The live query plane: answers top-K / per-flow / heavy-hitter queries
   /// over the workers' published views from ANY thread, including while
   /// run() is processing packets (top_k_packets()/query() above touch the
-  /// tables directly and are only safe on a stopped engine). Null when
-  /// enable_query_plane is false.
+  /// tables directly and are only safe on a stopped engine). Never null.
   [[nodiscard]] const core::QueryEngine* queries() const noexcept {
     return query_engine_.get();
   }

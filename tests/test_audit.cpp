@@ -182,7 +182,7 @@ TEST(AuditDifferential, ScalarAndBatchMatchOfflineMetrics) {
         const auto ref = offline_reference(
             truth, *engine.auditor(),
             engine.auditor()->config().packet_threshold,
-            engine.auditor()->config().error_tolerance,
+            audit::kErrorTolerance,
             [&](const netio::FlowKey& key) { return engine.query(key); },
             [&](const netio::FlowKey& key) {
               for (const auto& d : detections) {
@@ -223,7 +223,7 @@ TEST(AuditDifferential, MultiCoreMergedSummaryMatchesOffline) {
     const auto ref = offline_reference(
         truth, *mc.engine(0).auditor(),
         mc.engine(0).auditor()->config().packet_threshold,
-        mc.engine(0).auditor()->config().error_tolerance,
+        audit::kErrorTolerance,
         [&](const netio::FlowKey& key) { return mc.query(key); },
         [&](const netio::FlowKey& key) {
           const auto& detections =

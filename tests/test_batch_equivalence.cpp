@@ -2,8 +2,8 @@
 // stage split shippable. For every trace × batch size below,
 // process_batch() must leave the engine in a state BIT-IDENTICAL to scalar
 // process() calls — WSAF snapshot bytes, detection lists, regulator and
-// table counters, per-flow query results, and the streaming top-K. Any
-// reordering or double-count the batch path introduced would surface here.
+// table counters, and per-flow query results. Any reordering or
+// double-count the batch path introduced would surface here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,7 +27,6 @@ EngineConfig test_config() {
   config.wsaf.log2_entries = 14;
   config.heavy_hitter.packet_threshold = 5'000;
   config.heavy_hitter.byte_threshold = 4'000'000;
-  config.track_top_k = 5;
   return config;
 }
 
@@ -99,15 +98,6 @@ void expect_equivalent(const InstaMeasure& scalar, const InstaMeasure& batch,
     EXPECT_DOUBLE_EQ(ds[i].value_at_detection, db[i].value_at_detection)
         << "detection " << i;
     EXPECT_EQ(ds[i].metric, db[i].metric) << "detection " << i;
-  }
-
-  // Streaming top-K tracker saw the same accumulate sequence.
-  const auto ts = scalar.current_top_k();
-  const auto tb = batch.current_top_k();
-  ASSERT_EQ(ts.size(), tb.size());
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    EXPECT_EQ(ts[i].first, tb[i].first) << "top-k rank " << i;
-    EXPECT_DOUBLE_EQ(ts[i].second, tb[i].second) << "top-k rank " << i;
   }
 
   // Per-flow online decode (WSAF record + regulator residual), exactly.

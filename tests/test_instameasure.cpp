@@ -143,37 +143,6 @@ TEST(InstaMeasure, TopKReflectsFlowSizes) {
   EXPECT_EQ(top[2].key, small);
 }
 
-TEST(InstaMeasure, StreamingTopKMatchesScan) {
-  auto config = small_engine();
-  config.track_top_k = 5;
-  InstaMeasure engine{config};
-  util::SplitMix64 rng{77};
-  std::uint64_t ts = 0;
-  // Five elephants of distinct sizes + mice noise.
-  for (int i = 0; i < 40'000; ++i) {
-    for (std::uint32_t f = 0; f < 5; ++f) {
-      if (i % (f + 1) == 0) engine.process(packet(key_n(200 + f), ts++));
-    }
-    if (i % 4 == 0) {
-      engine.process(packet(key_n(static_cast<std::uint32_t>(rng())), ts++));
-    }
-  }
-  const auto streaming = engine.current_top_k();
-  const auto scanned = engine.top_k_packets(5);
-  ASSERT_EQ(streaming.size(), 5u);
-  ASSERT_EQ(scanned.size(), 5u);
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(streaming[i].first, scanned[i].key) << "rank " << i;
-    EXPECT_DOUBLE_EQ(streaming[i].second, scanned[i].packets);
-  }
-}
-
-TEST(InstaMeasure, StreamingTopKDisabledByDefault) {
-  InstaMeasure engine{small_engine()};
-  engine.process(packet(key_n(1), 0));
-  EXPECT_TRUE(engine.current_top_k().empty());
-}
-
 TEST(InstaMeasure, MemoryAccountingMatchesPaper) {
   EngineConfig config;
   config.regulator.l1_memory_bytes = 32 * 1024;

@@ -15,7 +15,6 @@
 
 #include "core/instameasure.h"
 #include "core/snapshot_channel.h"
-#include "core/topk_tracker.h"
 #include "core/view_publisher.h"
 #include "core/wsaf_table.h"
 #include "core/wsaf_view.h"
@@ -400,50 +399,6 @@ TEST_P(MultiCoreQueryDifferential, AnswersMatchStoppedEngineScan) {
 INSTANTIATE_TEST_SUITE_P(EvictionPolicies, MultiCoreQueryDifferential,
                          ::testing::Values(EvictionPolicy::kSecondChance,
                                            EvictionPolicy::kStalest));
-
-// --- TopKTracker / view equivalence ----------------------------------------
-
-TEST(TopKTracker, TrackedSetMatchesViewTopK) {
-  // With no WSAF evictions the streaming tracker and a post-hoc view scan
-  // must rank the same flows with the same running totals.
-  EngineConfig config = scalar_engine_config(EvictionPolicy::kSecondChance);
-  config.track_top_k = 8;
-  InstaMeasure engine{config};
-  std::uint64_t ts = 0;
-  for (std::uint32_t n = 0; n < 16; ++n) {
-    const auto key = key_n(n);
-    for (std::uint32_t i = 0; i < 3'000 + 2'500 * n; ++i) {
-      engine.process(packet(key, ts += 100));
-    }
-  }
-  ASSERT_TRUE(engine.publish_view_now());
-  const auto channel_view = engine.view_channel()->read();
-  ASSERT_TRUE(channel_view);
-
-  const auto tracked = engine.current_top_k();
-  const WsafView* views[] = {&*channel_view};
-  const auto scanned = view_top_k(views, 8, TopKMetric::kPackets);
-  ASSERT_EQ(tracked.size(), scanned.size());
-  for (std::size_t i = 0; i < tracked.size(); ++i) {
-    EXPECT_EQ(tracked[i].first, scanned[i].key) << "rank " << i;
-    EXPECT_DOUBLE_EQ(tracked[i].second, scanned[i].packets);
-  }
-
-  // And the tracker's own view export ranks identically.
-  const auto tracker_view = [&] {
-    TopKTracker shadow{8};
-    for (const auto& e : channel_view->entries) {
-      shadow.update(e.key, e.flow_hash, e.packets, e.bytes, e.first_seen_ns,
-                    e.last_update_ns);
-    }
-    return shadow.as_view();
-  }();
-  ASSERT_EQ(tracker_view.entries.size(), scanned.size());
-  for (std::size_t i = 0; i < scanned.size(); ++i) {
-    EXPECT_EQ(tracker_view.entries[i].key, scanned[i].key) << "rank " << i;
-    EXPECT_DOUBLE_EQ(tracker_view.entries[i].packets, scanned[i].packets);
-  }
-}
 
 // --- Concurrent ingest/query hammer (TSan target) --------------------------
 

@@ -1,7 +1,7 @@
 // Overload-resilience suite: the deterministic fault-injection harness,
-// the SimulatedChannel pathology knobs, reliable delegation, the
-// MultiCoreEngine overload policies (accounting invariant, shed accuracy,
-// paced-mode degradation), WSAF pressure signals, and the watchdog.
+// the SimulatedChannel's tie-break order, the MultiCoreEngine overload
+// policies (accounting invariant, shed accuracy, paced-mode degradation),
+// WSAF pressure signals, and the watchdog.
 //
 // The chaos tests arm named fault points with seeded schedules, so every
 // failure pattern replays identically; the invariant they all defend is
@@ -21,7 +21,7 @@
 #include "analysis/ground_truth.h"
 #include "core/wsaf_table.h"
 #include "core/wsaf_view.h"
-#include "delegation/reliable.h"
+#include "delegation/channel.h"
 #include "resilience/faultpoint.h"
 #include "runtime/multicore.h"
 #include "telemetry/trace.h"
@@ -106,58 +106,7 @@ TEST(FaultPoint, ScopedFaultsDisarmOnExit) {
   EXPECT_FALSE(fp.fire());
 }
 
-// ---------- SimulatedChannel pathology knobs ----------
-
-TEST(Channel, DuplicateKnobDeliversTwice) {
-  delegation::ChannelConfig config;
-  config.delay_ms = 10.0;
-  config.duplicate_rate = 1.0;
-  config.duplicate_lag_ms = 5.0;
-  delegation::SimulatedChannel<int> channel{config};
-  (void)channel.send(0, 42);
-  EXPECT_EQ(channel.duplicated(), 1u);
-  EXPECT_EQ(channel.in_flight(), 2u);
-  const auto out = channel.deliver_until(100'000'000);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].first, 10'000'000u);
-  EXPECT_EQ(out[1].first, 15'000'000u);
-  EXPECT_EQ(out[0].second, 42);
-  EXPECT_EQ(out[1].second, 42);
-}
-
-TEST(Channel, ReorderKnobAddsExtraDelay) {
-  delegation::ChannelConfig config;
-  config.delay_ms = 10.0;
-  config.reorder_rate = 1.0;  // every message gets the extra delay
-  config.reorder_ms = 30.0;
-  delegation::SimulatedChannel<int> channel{config};
-  (void)channel.send(0, 1);          // delivers at 0 + 10 + 30 = 40ms
-  (void)channel.send(1'000'000, 2);  // delivers at 1 + 10 + 30 = 41ms
-  EXPECT_EQ(channel.reordered(), 2u);
-  const auto out = channel.deliver_until(1'000'000'000);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].first, 40'000'000u);
-  EXPECT_EQ(out[1].first, 41'000'000u);
-}
-
-TEST(Channel, ReorderFaultInvertsDeliveryOrder) {
-  delegation::ChannelConfig config;
-  config.delay_ms = 10.0;
-  delegation::SimulatedChannel<int> channel{config};
-  {
-    // Only the first send is delayed (+30ms): the second message, sent
-    // later, overtakes it — a true order inversion.
-    ScopedFaults faults{{"delegation.channel.reorder",
-                         {.probability = 1.0, .max_fires = 1, .param = 30.0}}};
-    (void)channel.send(0, 1);          // delivers at 40ms
-    (void)channel.send(5'000'000, 2);  // delivers at 15ms
-  }
-  const auto out = channel.deliver_until(1'000'000'000);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].second, 2) << "the later send must arrive first";
-  EXPECT_EQ(out[1].second, 1);
-  EXPECT_EQ(channel.reordered(), 1u);
-}
+// ---------- SimulatedChannel delivery order ----------
 
 TEST(Channel, HeapDeliveryOrderStableForTies) {
   delegation::ChannelConfig config;
@@ -170,157 +119,6 @@ TEST(Channel, HeapDeliveryOrderStableForTies) {
     EXPECT_EQ(out[static_cast<size_t>(i)].second, i)
         << "ties must deliver in send order";
   }
-}
-
-TEST(Channel, FaultPointsDropAndDuplicate) {
-  delegation::ChannelConfig config;
-  config.delay_ms = 1.0;
-  delegation::SimulatedChannel<int> channel{config};
-  {
-    ScopedFaults faults{
-        {"delegation.channel.drop", {.probability = 1.0, .max_fires = 1}}};
-    EXPECT_FALSE(channel.send(0, 1).has_value());
-    EXPECT_TRUE(channel.send(0, 2).has_value());
-  }
-  EXPECT_EQ(channel.lost(), 1u);
-  {
-    ScopedFaults faults{{"delegation.channel.duplicate",
-                         {.probability = 1.0, .max_fires = 1}}};
-    (void)channel.send(0, 3);
-  }
-  EXPECT_EQ(channel.duplicated(), 1u);
-  const auto out = channel.deliver_until(1'000'000'000);
-  EXPECT_EQ(out.size(), 3u);  // payloads 2, 3, 3
-}
-
-// ---------- ReliableLink ----------
-
-TEST(ReliableLink, AckClearsPendingWithoutRetransmit) {
-  delegation::ReliableConfig rc;
-  delegation::ChannelConfig data;  // 20ms, lossless
-  delegation::ReliableLink<int> link{rc, data};
-  link.send(0, 7);
-  EXPECT_EQ(link.unacked(), 1u);
-  const auto out = link.receive(25'000'000);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].second, 7);
-  link.tick(50'000'000);  // ack (20ms reverse) absorbed
-  EXPECT_EQ(link.unacked(), 0u);
-  EXPECT_TRUE(link.idle());
-  EXPECT_EQ(link.stats().retransmits, 0u);
-  EXPECT_EQ(link.gaps(), 0u);
-}
-
-TEST(ReliableLink, RetransmitRecoversInjectedLoss) {
-  delegation::ReliableConfig rc;
-  rc.rto_ms = 50.0;
-  delegation::ChannelConfig data;
-  delegation::ReliableLink<int> link{rc, data};
-  {
-    ScopedFaults faults{
-        {"delegation.channel.drop", {.probability = 1.0, .max_fires = 1}}};
-    link.send(0, 9);  // first transmission eaten by the fault
-  }
-  EXPECT_TRUE(link.receive(40'000'000).empty());
-  link.tick(50'000'000);  // RTO expires -> retransmit
-  const auto out = link.receive(80'000'000);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].second, 9);
-  link.tick(200'000'000);
-  EXPECT_TRUE(link.idle());
-  EXPECT_EQ(link.stats().retransmits, 1u);
-  EXPECT_EQ(link.gaps_vs_sent(), 0u);
-}
-
-TEST(ReliableLink, ZeroRetransmitBudgetIsLossyBaseline) {
-  delegation::ReliableConfig rc;
-  rc.max_retransmits = 0;
-  delegation::ChannelConfig data;
-  delegation::ReliableLink<int> link{rc, data};
-  {
-    ScopedFaults faults{
-        {"delegation.channel.drop", {.probability = 1.0, .max_fires = 1}}};
-    link.send(0, 1);  // lost forever
-  }
-  link.send(0, 2);
-  (void)link.receive(25'000'000);  // payload 2 arrives; its ack is in flight
-  link.tick(100'000'000);  // ack absorbed; payload 1 expires -> abandoned
-  EXPECT_EQ(link.stats().abandoned, 1u);
-  EXPECT_EQ(link.stats().retransmits, 0u);
-  link.tick(200'000'000);
-  EXPECT_EQ(link.delivered(), 1u);
-  EXPECT_EQ(link.gaps_vs_sent(), 1u) << "the lost payload is a permanent gap";
-  EXPECT_TRUE(link.idle());
-}
-
-TEST(ReliableLink, DuplicateDeliveriesDeduplicated) {
-  delegation::ReliableConfig rc;
-  delegation::ChannelConfig data;
-  delegation::ReliableLink<int> link{rc, data};
-  {
-    ScopedFaults faults{{"delegation.channel.duplicate",
-                         {.probability = 1.0, .max_fires = 1}}};
-    link.send(0, 4);
-  }
-  const auto out = link.receive(1'000'000'000);
-  ASSERT_EQ(out.size(), 1u) << "the duplicate copy must be dropped";
-  EXPECT_EQ(link.stats().duplicates_dropped, 1u);
-  link.tick(2'000'000'000);
-  EXPECT_TRUE(link.idle());
-}
-
-// ---------- Reliable delegation pipeline ----------
-
-trace::Trace pipeline_trace() {
-  trace::TraceConfig config;
-  config.duration_s = 1.0;
-  config.tiers = {{4, 10'000, 20'000}};
-  config.mice = {10'000, 1.1, 30};
-  config.seed = 404;
-  return trace::generate(config);
-}
-
-TEST(ReliablePipeline, RecoversAllEpochsAtTwentyPercentLoss) {
-  const auto trace = pipeline_trace();
-  delegation::PipelineConfig config;
-  config.epoch_ms = 10.0;
-  config.sketch.width = 1 << 12;
-  config.sketch.depth = 4;
-  config.channel.delay_ms = 5.0;
-  config.channel.loss_rate = 0.2;
-  config.channel.seed = 0x10ad;
-  config.reliable.rto_ms = 20.0;
-  config.reliable.ack_channel.delay_ms = 5.0;
-  config.reliable.ack_channel.loss_rate = 0.2;  // acks get lost too
-  config.reliable.ack_channel.seed = 0xacc;
-  const auto run =
-      delegation::run_reliable_pipeline(trace.packets, config, {});
-  EXPECT_GT(run.epochs, 50u);
-  EXPECT_EQ(run.epochs_recovered, run.epochs);
-  EXPECT_EQ(run.gaps, 0u) << "every lost epoch must be retransmitted home";
-  EXPECT_EQ(run.abandoned, 0u);
-  EXPECT_GT(run.channel_losses, 0u) << "the channel really was lossy";
-  EXPECT_GT(run.retransmits, 0u);
-  EXPECT_GE(run.transmissions, run.epochs + run.retransmits);
-}
-
-TEST(ReliablePipeline, LossyBaselineCountsGapsWithoutRepair) {
-  const auto trace = pipeline_trace();
-  delegation::PipelineConfig config;
-  config.epoch_ms = 10.0;
-  config.sketch.width = 1 << 12;
-  config.sketch.depth = 4;
-  config.channel.delay_ms = 5.0;
-  config.channel.loss_rate = 0.2;
-  config.channel.seed = 0x10ad;
-  config.reliable.max_retransmits = 0;  // sequenced-but-lossy
-  config.reliable.ack_channel.delay_ms = 5.0;
-  const auto run =
-      delegation::run_reliable_pipeline(trace.packets, config, {});
-  EXPECT_GT(run.gaps, 0u) << "20% loss with no repair must leave gaps";
-  EXPECT_LT(run.epochs_recovered, run.epochs);
-  EXPECT_EQ(run.retransmits, 0u);
-  EXPECT_EQ(run.gaps, run.epochs - run.epochs_recovered);
 }
 
 // ---------- MultiCoreConfig validation ----------
@@ -436,6 +234,39 @@ TEST(WsafPressure, OverrunTinyTableSaturates) {
   EXPECT_GT(p.eviction_pressure, 0.5);
   table.reset();
   EXPECT_EQ(table.pressure().level, core::WsafPressureLevel::kNominal);
+}
+
+// The runtime's pressure report: RunStats::wsaf_pressure_peak and the
+// im_runtime_wsaf_pressure_level gauge must name the worst shard whether
+// or not the watchdog ran. Only end-of-run state is asserted, so the
+// watchdog's timing cannot change the verdict.
+TEST(WsafPressure, RunStatsAndGaugeReportSaturatedShard) {
+  // 1500 elephants, ~750 per worker: more than the 2^9 slots of a shard,
+  // a sliver of 2^20.
+  trace::TraceConfig trace_config;
+  trace_config.duration_s = 0.5;
+  trace_config.tiers = {{1'500, 100, 200}};
+  trace_config.seed = 31;
+  const auto trace = trace::generate(trace_config);
+  for (const double watchdog_ms : {0.0, 1.0}) {
+    for (const unsigned log2_entries : {9u, 20u}) {
+      SCOPED_TRACE("watchdog_ms=" + std::to_string(watchdog_ms) +
+                   " log2_entries=" + std::to_string(log2_entries));
+      auto config = small_config(2);
+      config.engine.wsaf.log2_entries = log2_entries;
+      config.overload.watchdog_interval_ms = watchdog_ms;
+      runtime::MultiCoreEngine engine{config};
+      const auto stats = engine.run(trace);
+      ASSERT_EQ(stats.processed, trace.packets.size());
+      const int expected =
+          log2_entries == 9
+              ? static_cast<int>(core::WsafPressureLevel::kSaturated)
+              : static_cast<int>(core::WsafPressureLevel::kNominal);
+      EXPECT_EQ(stats.wsaf_pressure_peak, expected);
+      EXPECT_EQ(engine.registry().value("im_runtime_wsaf_pressure_level"),
+                static_cast<double>(expected));
+    }
+  }
 }
 
 // ---------- Overload policies: accounting + chaos matrix ----------

@@ -585,7 +585,6 @@ TEST(Integration, BatchPathKeepsTelemetryLockstep) {
   config.regulator.l1_memory_bytes = 32 * 1024;
   config.wsaf.log2_entries = 14;
   config.heavy_hitter.packet_threshold = 5'000;
-  config.track_top_k = 5;
 
   const auto histogram_of = [](const Snapshot& snap, const char* name) {
     const auto* sample = snap.find(name);
