@@ -9,6 +9,8 @@
 // interpreted).
 #include "bench_common.h"
 
+#include <algorithm>
+#include <string>
 #include <thread>
 
 #include "runtime/multicore.h"
@@ -65,15 +67,26 @@ int main(int argc, char** argv) {
   bench::shape_check(mpps[0] > 1.0,
                      "single-worker engine sustains multi-Mpps on a "
                      "preloaded trace (paper: 18.9 Mpps on Atom)");
-  if (host_cores >= max_workers) {
-    bench::shape_check(mpps.back() > mpps.front() * 1.3,
-                       "throughput grows with workers (paper Fig 9a slope)");
+  // The manager thread spins beside the workers, so w workers need w + 1
+  // hardware threads: judge the slope at the largest count that fits.
+  const unsigned judged =
+      host_cores == 0 ? 0 : std::min(max_workers, host_cores - 1);
+  if (judged >= 2) {
+    bench::shape_check(
+        mpps[judged - 1] > mpps.front() * 1.3,
+        "throughput grows with workers (paper Fig 9a slope), judged at " +
+            std::to_string(judged) + " workers + 1 manager on " +
+            std::to_string(host_cores) + " hardware thread(s)");
+  } else if (host_cores == 0) {
+    std::printf(
+        "SHAPE-CHECK SKIP: host parallelism unknown; the Fig 9a scaling "
+        "slope requires physical cores (see DESIGN.md substitutions)\n");
   } else {
     std::printf(
-        "SHAPE-CHECK SKIP: host has %u hardware thread(s) < %u workers; "
-        "the Fig 9a scaling slope requires physical cores (see DESIGN.md "
-        "substitutions)\n",
-        host_cores, max_workers);
+        "SHAPE-CHECK SKIP: %u worker(s) fit beside the manager "
+        "(--max-workers=%u, %u hardware thread(s)); the Fig 9a scaling "
+        "slope needs 2 (see DESIGN.md substitutions)\n",
+        judged, max_workers, host_cores);
   }
   bench::print_metrics_json(registry);
   return 0;

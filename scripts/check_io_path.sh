@@ -28,7 +28,7 @@ VETH_TX=im-ioveth0
 VETH_RX=im-ioveth1
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build "$BUILD" -j --target pktgen io_bench >/dev/null
+cmake --build "$BUILD" -j "$(nproc)" --target pktgen io_bench >/dev/null
 
 workdir=$(mktemp -d)
 cleanup() {

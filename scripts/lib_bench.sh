@@ -9,7 +9,7 @@
 bench_build() {
   local build=$1 target=$2
   cmake -B "$build" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build "$build" -j --target "$target" >/dev/null
+  cmake --build "$build" -j "$(nproc)" --target "$target" >/dev/null
 }
 
 # bench_micro_json <build-dir> <filter-regex> <min-time> <out-json>: run

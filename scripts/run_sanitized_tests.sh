@@ -27,7 +27,7 @@
 #      determinism test (same trace => per-shard WSAF bit-identical across
 #      runs and to a serial process() reference) gets multiple thread
 #      schedules to betray a race under;
-#   3. the same thread phase with IM_WSAF_LAYOUT=bucketed, so the shared
+#   3. the same thread phase with IM_WSAF_LAYOUT=bucketed, so the
 #      worker/WSAF paths race-check against the bucketed layout too.
 # Set SANITIZE to run a single custom phase instead (REPEAT=n to repeat).
 #
@@ -35,19 +35,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FILTER=${1:-"Counter|Gauge|HistogramMetric|Export|Reporter|Integration|SpscQueue|MultiCore|FlightRecorder|FaultPoint|OverloadChaos|OverloadPaced|Watchdog|SnapshotChannel|QueryEngine|QueryPlane|AuditSampling|AuditDifferential|AuditConcurrency|AuditSummaryMerge|WsafBucket|WsafLayout|WsafSnapshot|WsafBucketed|SharedWsaf|SharedTableChaos|FlowRegulator|RccConfig|BatchEquivalence|VvLayout|RccSketch|RccVectorSizeTest"}
-TSAN_FILTER=${TSAN_FILTER:-"MultiCore|SpscQueue|OverloadChaos|OverloadPaced|Watchdog|QueryPlane|AuditConcurrency|SharedWsafConcurrency|SharedTableChaos"}
+FILTER=${1:-"Counter|Gauge|HistogramMetric|Export|Reporter|Integration|SpscQueue|MultiCore|FlightRecorder|FaultPoint|OverloadChaos|OverloadPaced|Watchdog|SnapshotChannel|QueryEngine|QueryPlane|AuditSampling|AuditDifferential|AuditConcurrency|AuditSummaryMerge|WsafBucket|WsafLayout|WsafSnapshot|WsafBucketed|FlowRegulator|RccConfig|BatchEquivalence|VvLayout|RccSketch|RccVectorSizeTest"}
+TSAN_FILTER=${TSAN_FILTER:-"MultiCore|SpscQueue|OverloadChaos|OverloadPaced|Watchdog|QueryPlane|AuditConcurrency"}
 
 run_phase() {
   local sanitize=$1 build=$2 filter=$3 repeat=$4
   cmake -B "$build" -S . -DINSTAMEASURE_SANITIZE="$sanitize" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  cmake --build "$build" -j --target \
+  cmake --build "$build" -j "$(nproc)" --target \
     test_telemetry test_spsc test_multicore test_flight_recorder \
     test_resilience test_query_engine test_audit test_wsaf_bucket \
-    test_wsaf_snapshot test_wsaf_layout_equivalence test_wsaf_shared \
-    test_flow_regulator test_rcc test_batch_equivalence test_virtual_vector \
-    flow_exporter >/dev/null
+    test_wsaf_snapshot test_wsaf_layout_equivalence test_flow_regulator \
+    test_rcc test_batch_equivalence test_virtual_vector flow_exporter \
+    >/dev/null
   ctest --test-dir "$build" -R "$filter" --output-on-failure -j "$(nproc)" \
     --repeat "until-fail:$repeat"
   echo "sanitized ($sanitize) test run passed"

@@ -164,7 +164,7 @@ FlowAudit* Auditor::observe_sampled(std::uint64_t sample_hash,
 }
 
 void Auditor::record_comparison(const FlowAudit& flow, const Estimate& est,
-                                int pressure_level, std::uint64_t now_ns) {
+                                int pressure_level) {
   // Truth is never zero here (observe() counted this packet), so the
   // relative error is well defined.
   const double rel_err = (est.packets - flow.packets) / flow.packets;
@@ -173,13 +173,12 @@ void Auditor::record_comparison(const FlowAudit& flow, const Estimate& est,
   add_relaxed(sum_rel_err_, rel_err);
   tel_comparisons_.inc();
   tel_rel_error_ppm_.record(to_ppm(rel_err));
-  classify(flow, est, rel_err, pressure_level, now_ns);
+  classify(flow, est, rel_err, pressure_level);
   refresh_gauges();
 }
 
 void Auditor::classify(const FlowAudit& flow, const Estimate& est,
-                       double rel_err, int pressure_level,
-                       std::uint64_t now_ns) {
+                       double rel_err, int pressure_level) {
   // aux cause field: 0 = within tolerance, otherwise Cause+1; the WSAF
   // pressure level at comparison time rides in bits 8+ so the flight
   // recorder can correlate error bursts with overload.
@@ -202,7 +201,6 @@ void Auditor::classify(const FlowAudit& flow, const Estimate& est,
                  aux_cause |
                      (static_cast<std::uint32_t>(pressure_level) << 8));
   }
-  (void)now_ns;
 }
 
 Cause Auditor::cause_of(const FlowAudit& flow, const Estimate& est) const {
@@ -251,8 +249,7 @@ void Auditor::note_shed(const netio::FlowKey& key, std::uint64_t weight) {
 }
 
 void Auditor::final_sweep(
-    const std::function<Estimate(const netio::FlowKey&)>& estimator,
-    std::uint64_t now_ns) {
+    const std::function<Estimate(const netio::FlowKey&)>& estimator) {
   // Replace the streaming mid-run accumulators with one exact end-state
   // comparison per audited flow — the same per-flow relative-error formula
   // analysis::metrics applies offline, over the same slice, so the gauges
@@ -264,7 +261,6 @@ void Auditor::final_sweep(
   std::uint64_t over = 0;
   std::array<std::uint64_t, kCauseCount> causes{};
   std::uint64_t n = 0;
-  const int pressure = -1;  // not meaningful for an end-of-run sweep
   for (const auto& [hash, flow] : flows_) {
     if (flow.packets <= 0) continue;
     const Estimate est = estimator(flow.key);
@@ -290,8 +286,6 @@ void Auditor::final_sweep(
                    rel_err, aux_cause);
     }
   }
-  (void)pressure;
-  (void)now_ns;
   comparisons_.store(n, std::memory_order_relaxed);
   sum_abs_rel_err_.store(sum_abs, std::memory_order_relaxed);
   sum_rel_err_.store(sum_signed, std::memory_order_relaxed);

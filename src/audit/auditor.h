@@ -178,7 +178,7 @@ class Auditor {
   /// error; aux = code | pressure<<8 where code 0 = within tolerance,
   /// 1..3 = Cause+1 for undercounts, 4 = overcount).
   void record_comparison(const FlowAudit& flow, const Estimate& est,
-                         int pressure_level, std::uint64_t now_ns);
+                         int pressure_level);
 
   /// Lifecycle signals from the engine (rare paths):
   /// a saturation event accumulated `key` into the WSAF.
@@ -196,8 +196,7 @@ class Auditor {
   /// analysis::metrics computation over the sampled slice. The engine
   /// wraps its query() read-back into `estimator`. Writer thread only.
   void final_sweep(const std::function<Estimate(const netio::FlowKey&)>&
-                       estimator,
-                   std::uint64_t now_ns);
+                       estimator);
 
   /// Thread-safe aggregate snapshot (relaxed atomic reads; never touches
   /// the shadow map).
@@ -218,7 +217,7 @@ class Auditor {
                              const netio::FlowKey& key, std::uint32_t wire_len,
                              std::uint64_t now_ns);
   void classify(const FlowAudit& flow, const Estimate& est, double rel_err,
-                int pressure_level, std::uint64_t now_ns);
+                int pressure_level);
   [[nodiscard]] Cause cause_of(const FlowAudit& flow,
                                const Estimate& est) const;
   void refresh_gauges();

@@ -77,17 +77,6 @@ using SteadyClock = std::chrono::steady_clock;
       config.audit.byte_threshold = config.heavy_hitter.byte_threshold;
     }
   }
-  if (config.shared_wsaf != nullptr) {
-    // Shared-table mode: the private shard is a stub (uniform object shape,
-    // near-zero memory), never instrumented — its series would read as a
-    // dead shard next to the shared table's per-stripe ones — and never
-    // published (the table's owner runs ONE publisher for all workers).
-    // Applied last so the propagation above cannot re-wire the stub.
-    config.wsaf.log2_entries = std::min(config.wsaf.log2_entries, 6U);
-    config.wsaf.registry = nullptr;
-    config.wsaf.trace = nullptr;
-    config.publish_views = false;
-  }
   return config;
 }
 
@@ -97,7 +86,6 @@ InstaMeasure::InstaMeasure(const EngineConfig& config)
     : config_(propagated(config)),
       regulator_(config_.regulator),
       wsaf_(config_.wsaf),
-      shared_(config_.shared_wsaf),
       trace_(config_.trace),
       trace_track_(config_.trace_track),
       perf_(config_.perf) {
@@ -171,9 +159,8 @@ void InstaMeasure::process(const netio::PacketRecord& rec) {
     // reads an estimate that includes it.
     if (auto* flow =
             audit_->observe(rec.key, rec.wire_len, rec.timestamp_ns)) {
-      audit_->record_comparison(
-          *flow, estimate(rec.key, flow_hash),
-          static_cast<int>(pressure().level), rec.timestamp_ns);
+      audit_->record_comparison(*flow, estimate(rec.key, flow_hash),
+                                static_cast<int>(pressure().level));
     }
   }
   if (publisher_) publisher_->maybe_publish(wsaf_, rec.timestamp_ns);
@@ -186,8 +173,8 @@ void InstaMeasure::drain_event(const netio::PacketRecord& rec,
                                const SaturationEvent& event, bool timed) {
   SteadyClock::time_point e0;
   if (timed) e0 = SteadyClock::now();
-  const auto totals = wsaf_accumulate(rec.key, flow_hash, event.est_packets,
-                                      event.est_bytes, rec.timestamp_ns);
+  const auto totals = wsaf_.accumulate(rec.key, flow_hash, event.est_packets,
+                                       event.est_bytes, rec.timestamp_ns);
   if (audit_) audit_->on_accumulate(rec.key);
   if (timed) {
     tel_event_accumulate_ns_.record(ns_between(e0, SteadyClock::now()));
@@ -327,9 +314,8 @@ void InstaMeasure::process_chunk(const netio::PacketRecord* recs,
     for (std::size_t i = 0; i < n; ++i) {
       if (auto* flow = audit_->observe(recs[i].key, recs[i].wire_len,
                                        recs[i].timestamp_ns)) {
-        audit_->record_comparison(
-            *flow, estimate(recs[i].key, hashes[i]),
-            static_cast<int>(pressure().level), recs[i].timestamp_ns);
+        audit_->record_comparison(*flow, estimate(recs[i].key, hashes[i]),
+                                  static_cast<int>(pressure().level));
       }
     }
   }
@@ -356,8 +342,7 @@ void InstaMeasure::check_heavy_hitter(const netio::FlowKey& key,
                                       std::uint64_t first_seen_ns,
                                       std::uint64_t now_ns) {
   // A packet stamped before the flow's first-seen time (a backward capture
-  // timestamp, or two workers feeding one shared-table flow) reads as zero
-  // latency instead of wrapping around.
+  // timestamp) reads as zero latency instead of wrapping around.
   const std::uint64_t latency_ns =
       now_ns > first_seen_ns ? now_ns - first_seen_ns : 0;
   const auto report = [&](TopKMetric metric, double value) {
@@ -395,7 +380,7 @@ void InstaMeasure::check_heavy_hitter(const netio::FlowKey& key,
 InstaMeasure::FlowEstimate InstaMeasure::estimate(
     const netio::FlowKey& key, std::uint64_t flow_hash) const {
   FlowEstimate est;
-  if (const auto entry = wsaf_lookup(key, flow_hash)) {
+  if (const auto entry = wsaf_.lookup(key, flow_hash)) {
     est.packets = entry->packets;
     est.bytes = entry->bytes;
     est.in_wsaf = true;
@@ -408,10 +393,7 @@ InstaMeasure::FlowEstimate InstaMeasure::estimate(
 void InstaMeasure::audit_final_sweep() {
   if (!audit_) return;
   audit_->final_sweep(
-      [this](const netio::FlowKey& key) {
-        return query(key);
-      },
-      wsaf_latest_ns());
+      [this](const netio::FlowKey& key) { return query(key); });
 }
 
 void InstaMeasure::clear_detections() {

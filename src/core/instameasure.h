@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -20,7 +19,6 @@
 #include "core/flow_regulator.h"
 #include "core/topk.h"
 #include "core/view_publisher.h"
-#include "core/wsaf_shared.h"
 #include "core/wsaf_table.h"
 #include "netio/packet.h"
 #include "telemetry/perf_counters.h"
@@ -89,16 +87,6 @@ struct EngineConfig {
   /// the estimates bit-identical.
   bool enable_audit = false;
   audit::AuditConfig audit{};
-  /// Shared-table mode: when set, the engine accumulates into (and queries)
-  /// this striped table instead of its own private shard — every worker of
-  /// a MultiCoreEngine can then touch every flow, which is what makes
-  /// work-stealing sound. Non-owning; the pointed-to table must outlive the
-  /// engine. Side effects: the private WSAF shrinks to a stub, publish_views
-  /// is forced off (the table's owner publishes ONE channel for the whole
-  /// table), and all engines sharing the table MUST use the same `seed`
-  /// (the table is keyed by the hashes the engines compute). See
-  /// docs/RESILIENCE.md "Shared-table mode and work-stealing".
-  SharedWsaf* shared_wsaf = nullptr;
 };
 
 class InstaMeasure {
@@ -132,15 +120,11 @@ class InstaMeasure {
     return estimate(key, key.hash(config_.seed));
   }
 
-  /// In shared-table mode these answer over the WHOLE shared table (every
-  /// engine sharing it returns the same, global, result).
   [[nodiscard]] std::vector<TopKItem> top_k_packets(std::size_t k) const {
-    return shared_ ? shared_->top_k(k, TopKMetric::kPackets)
-                   : top_k(wsaf_, k, TopKMetric::kPackets);
+    return top_k(wsaf_, k, TopKMetric::kPackets);
   }
   [[nodiscard]] std::vector<TopKItem> top_k_bytes(std::size_t k) const {
-    return shared_ ? shared_->top_k(k, TopKMetric::kBytes)
-                   : top_k(wsaf_, k, TopKMetric::kBytes);
+    return top_k(wsaf_, k, TopKMetric::kBytes);
   }
 
   [[nodiscard]] const std::vector<HhDetection>& detections() const noexcept {
@@ -150,10 +134,8 @@ class InstaMeasure {
   [[nodiscard]] const FlowRegulator& regulator() const noexcept {
     return regulator_;
   }
-  /// The engine's private shard (a stub in shared-table mode).
+  /// The engine's WSAF shard.
   [[nodiscard]] const WsafTable& wsaf() const noexcept { return wsaf_; }
-  /// The shared table this engine accumulates into; null in private mode.
-  [[nodiscard]] SharedWsaf* shared_wsaf() const noexcept { return shared_; }
 
   /// The query plane's reader endpoint (null unless publish_views). Hand
   /// it to a QueryEngine; safe to read from any thread while the engine
@@ -195,9 +177,7 @@ class InstaMeasure {
   /// Overload signal of the measurement state (currently the WSAF's
   /// occupancy/eviction pressure — the structure whose overload silently
   /// degrades accuracy). The runtime reports this and can shed on it.
-  [[nodiscard]] WsafPressure pressure() const {
-    return shared_ ? shared_->pressure() : wsaf_.pressure();
-  }
+  [[nodiscard]] WsafPressure pressure() const { return wsaf_.pressure(); }
   [[nodiscard]] std::uint64_t packets_processed() const noexcept {
     return regulator_.packets();
   }
@@ -247,30 +227,9 @@ class InstaMeasure {
   [[nodiscard]] FlowEstimate estimate(const netio::FlowKey& key,
                                       std::uint64_t flow_hash) const;
 
-  // Shared-vs-private routing for the few WSAF touch points. One null test
-  // per (rare) accumulate/lookup; the packet fast path never branches.
-  WsafTable::Accumulated wsaf_accumulate(const netio::FlowKey& key,
-                                         std::uint64_t flow_hash,
-                                         double est_packets, double est_bytes,
-                                         std::uint64_t now_ns) {
-    return shared_ ? shared_->accumulate(key, flow_hash, est_packets,
-                                         est_bytes, now_ns)
-                   : wsaf_.accumulate(key, flow_hash, est_packets, est_bytes,
-                                      now_ns);
-  }
-  [[nodiscard]] std::optional<WsafEntry> wsaf_lookup(
-      const netio::FlowKey& key, std::uint64_t flow_hash) const {
-    return shared_ ? shared_->lookup(key, flow_hash)
-                   : wsaf_.lookup(key, flow_hash);
-  }
-  [[nodiscard]] std::uint64_t wsaf_latest_ns() const {
-    return shared_ ? shared_->latest_ns() : wsaf_.latest_ns();
-  }
-
   EngineConfig config_;
   FlowRegulator regulator_;
   WsafTable wsaf_;
-  SharedWsaf* shared_ = nullptr;  ///< non-owning; null in private mode
   std::unique_ptr<audit::Auditor> audit_;  ///< null unless enable_audit
   std::vector<HhDetection> detections_;
   std::unique_ptr<ViewPublisher> publisher_;  ///< null unless publish_views

@@ -30,7 +30,7 @@ enum class TopKMetric { kPackets, kBytes };
 }
 
 /// Order `items` descending under `metric` and keep the first k — the
-/// selection every top-K answer (table scan, views, shared stripes) makes.
+/// selection every top-K answer (table scan, views) makes.
 inline void select_top_k(std::vector<TopKItem>& items, std::size_t k,
                          TopKMetric metric) {
   if (items.size() > k) {

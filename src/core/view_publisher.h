@@ -71,10 +71,8 @@ class ViewPublisher {
 
   /// Writer-thread tick: note `packets` more packets offered (trace time
   /// `now_ns`) and publish if a cadence trigger fired. Returns true when a
-  /// view was committed. `Table` is anything with fill_view(view, now_ns)
-  /// and slot_count() — a WsafTable shard or a SharedWsaf.
-  template <typename Table>
-  bool maybe_publish(Table& table, std::uint64_t now_ns,
+  /// view was committed.
+  bool maybe_publish(const WsafTable& table, std::uint64_t now_ns,
                      std::uint64_t packets = 1) {
     packets_since_ += packets;
     const std::uint64_t every = effective_every_packets(table);
@@ -89,8 +87,7 @@ class ViewPublisher {
   /// Writer-thread: publish unconditionally (end-of-run drain, dashboard
   /// refresh). Returns false only when every spare buffer was reader-pinned
   /// (the skip is counted; the data plane moves on).
-  template <typename Table>
-  bool publish_now(Table& table, std::uint64_t now_ns) {
+  bool publish_now(const WsafTable& table, std::uint64_t now_ns) {
     packets_since_ = 0;
     last_publish_ns_ = now_ns;
     published_once_ = true;
@@ -126,9 +123,8 @@ class ViewPublisher {
 
   /// The packet cadence actually in force against `table` (resolves auto:
   /// 8 packets per physical slot, at least 2^16).
-  template <typename Table>
   [[nodiscard]] std::uint64_t effective_every_packets(
-      const Table& table) const noexcept {
+      const WsafTable& table) const noexcept {
     if (config_.publish_every_packets != 0) {
       return config_.publish_every_packets;
     }

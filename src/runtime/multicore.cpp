@@ -69,32 +69,11 @@ MultiCoreEngine::MultiCoreEngine(const MultiCoreConfig& config)
         std::to_string(config.workers + 1) +
         " are required (workers + 1 manager track)");
   }
-  if (config.shared_table && config.engine.enable_audit) {
-    throw std::invalid_argument(
-        "MultiCoreConfig: shared_table and engine.enable_audit are both set; "
-        "the audit plane assumes private per-worker shards (stolen packets "
-        "would be attributed to the wrong shard's auditor)");
-  }
   if (config.registry != nullptr) {
     registry_ = config.registry;
   } else {
     owned_registry_ = std::make_unique<telemetry::Registry>();
     registry_ = owned_registry_.get();
-  }
-  if (config.shared_table) {
-    // One striped table for every worker; geometry comes from the engine's
-    // WSAF config (SharedWsaf validates the stripe split, with values).
-    core::SharedWsafConfig sc;
-    sc.table = config.engine.wsaf;
-    // Same alignment EngineConfig::propagated() applies to a private WSAF:
-    // the table is keyed by hashes the engines compute with engine.seed, and
-    // views rebuild each entry's hash with the table's own seed — a mismatch
-    // would publish hashes the slots were never derived from.
-    sc.table.seed = config.engine.seed;
-    sc.table.registry = registry_;
-    sc.table.trace = nullptr;
-    sc.log2_stripes = config.shared_log2_stripes;
-    shared_ = std::make_unique<core::SharedWsaf>(sc);
   }
   const unsigned n = config.workers;
   engines_.reserve(n);
@@ -102,28 +81,19 @@ MultiCoreEngine::MultiCoreEngine(const MultiCoreConfig& config)
     const telemetry::Labels worker_labels{{"worker", std::to_string(w)}};
     auto engine_config = config.engine;
     // Decorrelate the per-worker sketches; dispatch already partitions flows
-    // so shards never see each other's traffic. Shared-table mode must NOT
-    // decorrelate the engine seed: the one table is keyed by the
-    // engine-computed flow hashes, so differing seeds would fork a single
-    // flow into `workers` distinct entries. (Regulator seeds still
-    // decorrelate — per-worker sampling stays independent and unbiased.)
-    engine_config.seed = config.shared_table
-                             ? config.engine.seed
-                             : config.engine.seed + w * 0x51ed270bULL;
+    // so shards never see each other's traffic.
+    engine_config.seed = config.engine.seed + w * 0x51ed270bULL;
     engine_config.regulator.seed = config.engine.regulator.seed + w;
     engine_config.registry = registry_;
     engine_config.labels = worker_labels;
     engine_config.trace = config.trace;
     engine_config.trace_track = w;
-    engine_config.shared_wsaf = shared_.get();
-    if (!config.shared_table) {
-      engine_config.publish_views = true;
-      engine_config.publish = config.query_plane;
-      engine_config.publish.shard = w;
-      // Registry/trace wiring propagates from the engine config above.
-      engine_config.publish.registry = nullptr;
-      engine_config.publish.trace = nullptr;
-    }
+    engine_config.publish_views = true;
+    engine_config.publish = config.query_plane;
+    engine_config.publish.shard = w;
+    // Registry/trace wiring propagates from the engine config above.
+    engine_config.publish.registry = nullptr;
+    engine_config.publish.trace = nullptr;
     engines_.push_back(std::make_unique<core::InstaMeasure>(engine_config));
 
     tel_worker_packets_.push_back(registry_->counter(
@@ -145,11 +115,6 @@ MultiCoreEngine::MultiCoreEngine(const MultiCoreConfig& config)
     tel_worker_stalled_.push_back(registry_->counter(
         "im_runtime_worker_stalled_total",
         "Watchdog reports of a worker making no progress with a backlog",
-        worker_labels));
-    tel_steals_.push_back(registry_->counter(
-        "im_steal_diverted_total",
-        "Packets diverted from this full home queue to another worker "
-        "(shared-table mode only)",
         worker_labels));
     tel_queue_depth_max_.push_back(registry_->gauge(
         "im_runtime_queue_depth_max",
@@ -194,25 +159,9 @@ MultiCoreEngine::MultiCoreEngine(const MultiCoreConfig& config)
       "Empty polls / pacing waits while pulling from the packet source");
 
   std::vector<const core::SnapshotChannel*> channels;
-  if (config.shared_table) {
-    // Shared mode: worker engines carry no publisher; the manager ticks
-    // one publisher over the shared table and the query plane reads its
-    // single channel (shard 0 holds the whole working set).
-    core::ViewPublishConfig pc = config.query_plane;
-    pc.shard = 0;
-    pc.registry = registry_;
-    pc.labels = telemetry::Labels{{"worker", "manager"}};
-    if (config.trace != nullptr) {
-      pc.trace = config.trace;
-      pc.trace_track = n;  // manager's track; the manager does the ticks
-    }
-    shared_publisher_ = std::make_unique<core::ViewPublisher>(pc);
-    channels.push_back(&shared_publisher_->channel());
-  } else {
-    channels.reserve(n);
-    for (const auto& engine : engines_) {
-      channels.push_back(engine->view_channel());
-    }
+  channels.reserve(n);
+  for (const auto& engine : engines_) {
+    channels.push_back(engine->view_channel());
   }
   core::QueryEngineConfig qc;
   qc.registry = registry_;
@@ -266,7 +215,6 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
   stats.source = source.kind();
   stats.per_worker_packets.assign(n, 0);
   stats.per_worker_dropped.assign(n, 0);
-  stats.per_worker_steals.assign(n, 0);
   stats.max_queue_depth.assign(n, 0);
   stats.mean_queue_depth.assign(n, 0);
   stats.worker_busy_fraction.assign(n, 0);
@@ -279,11 +227,6 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
       pub0[w] = p->publishes();
       pub_skip0[w] = p->skipped_publishes();
     }
-  }
-  std::uint64_t shared_pub0 = 0, shared_pub_skip0 = 0;
-  if (shared_publisher_) {
-    shared_pub0 = shared_publisher_->publishes();
-    shared_pub_skip0 = shared_publisher_->skipped_publishes();
   }
 
   // Watchdog plumbing: workers publish their progress and their shard's
@@ -461,35 +404,6 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
     }
   };
 
-  // Work-stealing (shared-table mode only): a packet whose home queue stays
-  // full is diverted to the least-loaded other queue instead of waiting or
-  // being dropped/shed. Sound only because the shared table keeps a flow's
-  // state wherever its hash says — any worker's accumulate lands on the
-  // same stripe. With private shards this would split a flow's count across
-  // shards, so the lambda is a no-op outside shared mode.
-  const auto try_steal = [&](unsigned home, const QueueItem& item) {
-    if (!config_.shared_table || n < 2) return false;
-    unsigned victim = home;
-    std::size_t best_depth = std::numeric_limits<std::size_t>::max();
-    for (unsigned v = 0; v < n; ++v) {
-      if (v == home) continue;
-      const auto d = queues[v]->size_approx();
-      if (d < best_depth) {
-        best_depth = d;
-        victim = v;
-      }
-    }
-    if (victim == home || !try_push(*queues[victim], item)) return false;
-    ++stats.per_worker_steals[home];
-    tel_steals_[home].inc();
-    if (config_.trace) {
-      config_.trace->emit(n, telemetry::TraceEventKind::kWorkSteal, 0,
-                          static_cast<double>(queues[home]->size_approx()),
-                          home | (victim << 8));
-    }
-    return true;
-  };
-
   // Shed-ladder state, all manager-local (the ladder is per worker queue).
   std::vector<unsigned> level(n, 0);
   std::vector<unsigned> stall_streak(n, 0);
@@ -517,7 +431,6 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
     switch (ov.policy) {
       case OverloadPolicy::kBlock: {
         while (!try_push(queue, item)) {
-          if (try_steal(w, item)) break;
           note_stall(w, queue.size_approx());
           std::this_thread::yield();
         }
@@ -525,7 +438,7 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
       }
       case OverloadPolicy::kDropTail: {
         for (unsigned r = 0; r <= ov.full_queue_retries; ++r) {
-          if (try_push(queue, item) || try_steal(w, item)) return;
+          if (try_push(queue, item)) return;
           note_stall(w, queue.size_approx());
           std::this_thread::yield();
         }
@@ -553,17 +466,11 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
             pushed = true;
             break;
           }
-          // A steal still counts as contention for the ladder: the home
-          // queue WAS full, and sustained diversion should climb it too.
           contended = true;
-          if (try_steal(w, item)) {
-            pushed = true;
-            break;
-          }
           note_stall(w, queue.size_approx());
           std::this_thread::yield();
         }
-        // An admitted packet that could not be delivered either is shed
+        // An admitted packet that still could not be pushed is shed
         // (its compensation weight is lost — that is the accuracy price of
         // sustained overload, bounded by the ladder climbing below).
         if (!pushed) note_loss(w, /*shed=*/true);
@@ -645,13 +552,6 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
                 drops, std::numeric_limits<std::uint32_t>::max())));
       }
       for (std::size_t i = 0; i < got; ++i) dispatch(burst[i]);
-      // Shared mode: the manager (not the workers) ticks the one publisher.
-      // fill_view locks stripes one at a time, so it is safe against the
-      // workers' concurrent accumulates.
-      if (shared_publisher_) {
-        shared_publisher_->maybe_publish(*shared_, burst[got - 1].timestamp_ns,
-                                         got);
-      }
     }
   } catch (...) {
     // A source that fails mid-run (a corrupt pcap record) must not leave
@@ -692,14 +592,6 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
       stats.view_publishes_skipped += p->skipped_publishes() - pub_skip0[w];
     }
   }
-  if (shared_publisher_) {
-    // Final publish after the joins (quiescent): queries issued after the
-    // run returns see the complete shared working set.
-    shared_publisher_->publish_now(*shared_, shared_->latest_ns());
-    stats.views_published += shared_publisher_->publishes() - shared_pub0;
-    stats.view_publishes_skipped +=
-        shared_publisher_->skipped_publishes() - shared_pub_skip0;
-  }
 
   for (unsigned w = 0; w < n; ++w) {
     const auto packets = tally[w].packets.load(std::memory_order_relaxed);
@@ -707,7 +599,6 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
     const auto polls = busy + tally[w].idle_polls;
     stats.per_worker_packets[w] = packets;
     stats.processed += packets;
-    stats.steals += stats.per_worker_steals[w];
     stats.worker_busy_fraction[w] =
         polls ? static_cast<double>(busy) / static_cast<double>(polls) : 0.0;
     stats.mean_queue_depth[w] =
@@ -726,11 +617,6 @@ RunStats MultiCoreEngine::run_source(netio::PacketSource& source,
 
 std::vector<core::TopKItem> MultiCoreEngine::top_k(
     std::size_t k, core::TopKMetric metric) const {
-  if (shared_) {
-    // Every engine would return the same global answer; summing the
-    // per-engine results would duplicate it `workers` times.
-    return shared_->top_k(k, metric);
-  }
   std::vector<core::TopKItem> all;
   for (const auto& engine : engines_) {
     auto part = core::top_k(engine->wsaf(), k, metric);

@@ -28,7 +28,6 @@
 
 #include "core/instameasure.h"
 #include "core/query_engine.h"
-#include "core/wsaf_shared.h"
 #include "netio/source.h"
 #include "runtime/spsc_queue.h"
 #include "telemetry/metrics.h"
@@ -98,19 +97,6 @@ struct MultiCoreConfig {
   /// per-shard auditors are attached to queries()->audit(), and each
   /// worker runs its exactness sweep as it drains at end of run.
   core::EngineConfig engine{};
-  /// Shared-table mode: instead of one private WSAF shard per worker, the
-  /// runtime owns a single striped SharedWsaf (geometry from engine.wsaf,
-  /// split over 2^shared_log2_stripes spinlocked stripes) that every worker
-  /// engine accumulates into. Flow state then lives wherever the flow hash
-  /// says — not in a home shard — which makes manager-side work-stealing
-  /// sound: when a worker's queue stays full, the packet is diverted to the
-  /// least-loaded other queue instead of being dropped/shed. Costs: worker
-  /// engines share one seed (the table is keyed by engine-computed hashes),
-  /// per-shard views collapse to one shared-channel publisher (ticked by
-  /// the manager), and the audit plane is unsupported (validated).
-  bool shared_table = false;
-  /// Stripe count for shared_table mode (2^k stripes; 3 -> 8 stripes).
-  unsigned shared_log2_stripes = 3;
   /// Registry every worker engine and the runtime export into (each series
   /// labeled worker="N"). When null the engine owns a private registry,
   /// reachable via registry(), so metrics are always available.
@@ -134,7 +120,6 @@ struct RunStats {
   std::uint64_t dropped = 0;             ///< kDropTail bounded-wait losses
   std::uint64_t shed = 0;                ///< kShed ladder losses (compensated)
   std::uint64_t producer_stalls = 0;     ///< full-queue backoffs
-  std::uint64_t steals = 0;              ///< packets diverted to another queue
   unsigned shed_level_peak = 0;          ///< deepest ladder rung reached
   std::uint64_t watchdog_stall_reports = 0;
   std::uint64_t views_published = 0;     ///< query-plane snapshots committed
@@ -142,7 +127,6 @@ struct RunStats {
   int wsaf_pressure_peak = 0;            ///< worst shard WsafPressureLevel seen
   std::vector<std::uint64_t> per_worker_packets;   ///< processed per worker
   std::vector<std::uint64_t> per_worker_dropped;   ///< dropped + shed per worker
-  std::vector<std::uint64_t> per_worker_steals;    ///< steals FROM this home queue
   std::vector<std::size_t> max_queue_depth;
   /// Queue depth sampled at every source pull, averaged: the backlog the
   /// worker carried while traffic arrived.
@@ -173,9 +157,8 @@ class MultiCoreEngine {
  public:
   /// Throws std::invalid_argument (message names the offending value) when
   /// the config is unusable: zero workers, a queue capacity that is not a
-  /// power of two >= 2, a flight recorder with fewer than workers + 1
-  /// tracks, or a shared_table request the mode cannot honor (audit plane
-  /// enabled, or a stripe split the WSAF geometry cannot support).
+  /// power of two >= 2, or a flight recorder with fewer than workers + 1
+  /// tracks.
   explicit MultiCoreEngine(const MultiCoreConfig& config);
   ~MultiCoreEngine();
 
@@ -195,11 +178,10 @@ class MultiCoreEngine {
   /// The one ingest path: pull bursts from any netio::PacketSource (live
   /// AF_PACKET ring, streaming pcap, replay) and dispatch them to the
   /// workers with NO intermediate PacketVector — records are copied once,
-  /// into the worker rings. Every overload policy, work-stealing and the
-  /// watchdog apply to every source. Blocks until the configured bound is
-  /// hit or the source is exhausted and every admitted packet is
-  /// processed; RunStats carries the io_* capture accounting beside the
-  /// usual fields, with
+  /// into the worker rings. Every overload policy and the watchdog apply to
+  /// every source. Blocks until the configured bound is hit or the source
+  /// is exhausted and every admitted packet is processed; RunStats carries
+  /// the io_* capture accounting beside the usual fields, with
   ///   offered(delivered) == processed + dropped + shed
   /// exact, and kernel drops/skips reported separately. An exception from
   /// the source (a corrupt pcap record) is rethrown after every thread of
@@ -231,18 +213,12 @@ class MultiCoreEngine {
     return engines_[worker_of(key)]->query(key);
   }
 
-  /// Merged top-K across shards (computed once over the shared table in
-  /// shared_table mode — every engine would return the same global answer).
+  /// Merged top-K across shards.
   [[nodiscard]] std::vector<core::TopKItem> top_k_packets(std::size_t k) const {
     return top_k(k, core::TopKMetric::kPackets);
   }
   [[nodiscard]] std::vector<core::TopKItem> top_k_bytes(std::size_t k) const {
     return top_k(k, core::TopKMetric::kBytes);
-  }
-
-  /// The shared striped table, or null outside shared_table mode.
-  [[nodiscard]] core::SharedWsaf* shared_table() const noexcept {
-    return shared_.get();
   }
 
   /// The live query plane: answers top-K / per-flow / heavy-hitter queries
@@ -283,10 +259,6 @@ class MultiCoreEngine {
 
   MultiCoreConfig config_;
   std::vector<std::unique_ptr<core::InstaMeasure>> engines_;
-  // Shared-table mode: the one striped WSAF all workers write, plus the
-  // manager-ticked publisher feeding the query plane's single channel.
-  std::unique_ptr<core::SharedWsaf> shared_;
-  std::unique_ptr<core::ViewPublisher> shared_publisher_;
   std::unique_ptr<core::QueryEngine> query_engine_;
   std::unique_ptr<telemetry::Registry> owned_registry_;
   telemetry::Registry* registry_ = nullptr;
@@ -297,7 +269,6 @@ class MultiCoreEngine {
   std::vector<telemetry::Counter> tel_dropped_;
   std::vector<telemetry::Counter> tel_shed_;
   std::vector<telemetry::Counter> tel_worker_stalled_;
-  std::vector<telemetry::Counter> tel_steals_;  ///< steals from home queue w
   std::vector<telemetry::Gauge> tel_queue_depth_max_;
   std::vector<telemetry::Gauge> tel_shed_level_;
   telemetry::Counter tel_producer_stalls_;

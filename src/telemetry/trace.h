@@ -59,11 +59,10 @@ enum class TraceEventKind : std::uint8_t {
                       ///< error; aux=code | pressure<<8, code 0 = within
                       ///< tolerance, 1..3 = cause+1, 4 = overcount; see
                       ///< audit/auditor.h)
-  // 18 was the retired online-resize event; the later kinds keep their
-  // numbers so existing IMTRC001 spools still decode.
-  kWorkSteal = 19,    ///< runtime: dispatch redirected to an idler worker
-                      ///< (payload=home queue depth, aux=home | victim<<8)
-  kIoBurst,           ///< netio: one PacketSource burst dispatched
+  // 18 was the retired online-resize event and 19 the retired work-steal
+  // event; the later kinds keep their numbers so existing IMTRC001 spools
+  // still decode.
+  kIoBurst = 20,      ///< netio: one PacketSource burst dispatched
                       ///< (payload=records in burst, aux=kernel drops seen
                       ///< so far, saturating at 2^32-1)
   kKindCount
@@ -100,7 +99,6 @@ inline constexpr std::uint64_t kAllTraceKinds =
     case TraceEventKind::kQueryMerge: return "query_merge";
     case TraceEventKind::kPerfCounters: return "perf_counters";
     case TraceEventKind::kAudit: return "audit";
-    case TraceEventKind::kWorkSteal: return "work_steal";
     case TraceEventKind::kIoBurst: return "io_burst";
     case TraceEventKind::kKindCount: break;
   }
@@ -129,7 +127,6 @@ inline constexpr std::uint64_t kAllTraceKinds =
     case TraceEventKind::kQueryMerge: return "query";
     case TraceEventKind::kPerfCounters: return "perf";
     case TraceEventKind::kAudit: return "audit";
-    case TraceEventKind::kWorkSteal: return "runtime";
     case TraceEventKind::kIoBurst: return "io";
     case TraceEventKind::kKindCount: break;
   }

@@ -15,6 +15,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/stage_latency.h"
@@ -236,6 +237,31 @@ TEST(FlightRecorderSpool, RoundTripAndTruncatedTail) {
     out.write("NOTTRACE", 8);
   }
   EXPECT_THROW((void)read_spool(file.path()), std::runtime_error);
+}
+
+TEST(FlightRecorderSpool, KindNumbersSurviveRetiredKinds) {
+  // A spool stores each event's kind as its number, so a kind may never be
+  // renumbered: retired numbers stay holes that decode as "?".
+  const std::pair<TraceEventKind, unsigned> live[] = {
+      {TraceEventKind::kPacket, 0},          {TraceEventKind::kL1Saturation, 1},
+      {TraceEventKind::kL2Saturation, 2},    {TraceEventKind::kWsafInsert, 3},
+      {TraceEventKind::kWsafUpdate, 4},      {TraceEventKind::kWsafEvict, 5},
+      {TraceEventKind::kWsafGcReclaim, 6},   {TraceEventKind::kWsafReject, 7},
+      {TraceEventKind::kDetection, 8},       {TraceEventKind::kBatchBegin, 9},
+      {TraceEventKind::kBatchEnd, 10},       {TraceEventKind::kQueueStall, 11},
+      {TraceEventKind::kEpochSeal, 12},      {TraceEventKind::kCollectorDecode, 13},
+      {TraceEventKind::kViewPublish, 14},    {TraceEventKind::kQueryMerge, 15},
+      {TraceEventKind::kPerfCounters, 16},   {TraceEventKind::kAudit, 17},
+      {TraceEventKind::kIoBurst, 20},        {TraceEventKind::kKindCount, 21},
+  };
+  for (const auto& [kind, number] : live) {
+    EXPECT_EQ(static_cast<unsigned>(kind), number) << to_string(kind);
+  }
+  for (const unsigned retired : {18u, 19u}) {
+    const auto kind = static_cast<TraceEventKind>(retired);
+    EXPECT_STREQ(to_string(kind), "?") << retired;
+    EXPECT_STREQ(category_of(kind), "?") << retired;
+  }
 }
 
 TEST(FlightRecorderSpool, CollectorStreamsWhileDraining) {

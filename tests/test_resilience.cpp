@@ -20,7 +20,6 @@
 
 #include "analysis/ground_truth.h"
 #include "core/wsaf_table.h"
-#include "core/wsaf_view.h"
 #include "delegation/channel.h"
 #include "resilience/faultpoint.h"
 #include "runtime/multicore.h"
@@ -174,19 +173,6 @@ TEST(MultiCoreValidation, ErrorMessagesNameTheOffendingValue) {
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string{e.what()}.find("got 1000"), std::string::npos)
           << e.what();
-    }
-  }
-  {
-    auto config = small_config(2);
-    config.shared_table = true;
-    config.engine.enable_audit = true;
-    try {
-      runtime::MultiCoreEngine engine{config};
-      FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-      const std::string msg = e.what();
-      EXPECT_NE(msg.find("shared_table"), std::string::npos) << msg;
-      EXPECT_NE(msg.find("enable_audit"), std::string::npos) << msg;
     }
   }
 }
@@ -463,7 +449,7 @@ TEST(OverloadPaced, ShedBoundsBacklogWhereBlockFallsBehind) {
   EXPECT_LT(shed.mean_queue_depth[0], block.mean_queue_depth[0]);
 }
 
-// ---------- Saturated-table + shared-table chaos ----------
+// ---------- Saturated-table chaos ----------
 
 // These runs need WSAF tables that actually saturate mid-run. Mice never
 // saturate the regulator, so WSAF occupancy is bounded by the count of
@@ -513,76 +499,6 @@ TEST(OverloadChaos, AccountingExactWithSaturatedTablesUnderShed) {
       evictions += engine.engine(w).wsaf().stats().evictions;
     }
     EXPECT_GT(evictions, 0u) << "the tables must actually have saturated";
-  }
-}
-
-// Shared-table mode under the same 20% queue-full chaos: packets whose
-// home queue stays full are stolen to other workers instead of shed, and
-// the steal counters reconcile exactly with the accounting invariant.
-TEST(SharedTableChaos, StealingPreservesExactAccounting) {
-  const auto trace = chaos_trace();
-  const std::uint64_t offered = trace.packets.size();
-  for (const std::uint64_t seed : chaos_seeds()) {
-    SCOPED_TRACE("IM_CHAOS_SEED=" + std::to_string(seed));
-    ScopedFaults faults{
-        {"runtime.queue_full", {.probability = 0.2, .seed = seed}}};
-    auto config = small_config(4);
-    config.queue_capacity = 1 << 8;
-    config.shared_table = true;
-    config.overload.policy = runtime::OverloadPolicy::kShed;
-    config.overload.full_queue_retries = 2;
-    config.overload.escalate_after_stalls = 8;
-    config.overload.max_shed_level = 4;
-    runtime::MultiCoreEngine engine{config};
-    const auto stats = engine.run(trace);
-    EXPECT_EQ(stats.packets, offered);
-    EXPECT_EQ(stats.processed + stats.dropped + stats.shed, offered);
-    EXPECT_GT(stats.steals, 0u)
-        << "a 20% queue-full rate must have diverted some packets";
-    std::uint64_t per_worker = 0;
-    for (const auto s : stats.per_worker_steals) per_worker += s;
-    EXPECT_EQ(per_worker, stats.steals);
-  }
-}
-
-// Shared-table mode while every stripe is saturated AND packets are being
-// stolen: accounting stays exact and the shared table ends with every
-// live flow visible once.
-TEST(SharedTableChaos, SaturatedStripesUnderStealingStayConsistent) {
-  const auto trace = saturating_chaos_trace();
-  const std::uint64_t offered = trace.packets.size();
-  for (const std::uint64_t seed : chaos_seeds()) {
-    SCOPED_TRACE("IM_CHAOS_SEED=" + std::to_string(seed));
-    ScopedFaults faults{
-        {"runtime.queue_full", {.probability = 0.2, .seed = seed}}};
-    auto config = small_config(4);
-    config.queue_capacity = 1 << 8;
-    config.shared_table = true;
-    config.shared_log2_stripes = 2;
-    config.overload.policy = runtime::OverloadPolicy::kShed;
-    config.overload.full_queue_retries = 2;
-    config.overload.escalate_after_stalls = 8;
-    config.overload.max_shed_level = 4;
-    // 4 stripes of 2^4 slots: hundreds of event-producing flows saturate
-    // every stripe, so the stripes evict while packets are simultaneously
-    // being stolen across home queues.
-    shrink_regulator(config);
-    config.engine.wsaf.log2_entries = 6;
-    runtime::MultiCoreEngine engine{config};
-    const auto stats = engine.run(trace);
-    EXPECT_EQ(stats.processed + stats.dropped + stats.shed, offered);
-    ASSERT_NE(engine.shared_table(), nullptr);
-    EXPECT_GT(engine.shared_table()->stats().evictions, 0u)
-        << "the shared stripes must actually have saturated";
-    // One consistent epoch at the end: every live flow exactly once.
-    core::WsafView view;
-    engine.shared_table()->fill_view(view,
-                                     engine.shared_table()->latest_ns());
-    std::set<std::string> keys;
-    for (const auto& e : view.entries) {
-      EXPECT_TRUE(keys.insert(e.key.to_string()).second)
-          << e.key.to_string() << " appears twice";
-    }
   }
 }
 

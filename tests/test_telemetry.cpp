@@ -441,8 +441,8 @@ TEST(Integration, DetectionLatencyHistogramPopulated) {
 
 TEST(Integration, DetectionLatencyClampsOutOfOrderArrival) {
   // A packet stamped before its flow's WSAF first-seen time (a backward
-  // capture timestamp, or two workers feeding one shared-table flow) can
-  // raise the alarm. Its latency reads 0, never a wrapped ~1.8e19 ns.
+  // capture timestamp) can raise the alarm. Its latency reads 0, never a
+  // wrapped ~1.8e19 ns.
   Registry registry;
   TraceConfig trace_config;
   trace_config.kind_mask = kind_bit(TraceEventKind::kDetection);
